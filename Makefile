@@ -1,7 +1,7 @@
 # The verify target is the tier-1 gate: CI runs it, and it is the
 # command to run before sending a change.
 
-.PHONY: verify build test test-race bench wheel rpsweep ifsweep vasweep enginebench cpisweep stats trace tenants fmt-check vet
+.PHONY: verify build test test-race bench wheel rpsweep ifsweep vasweep enginebench cpisweep stats trace tenants fmt-check vet perfbench-check
 
 # J is the sweep parallelism the sweep targets pass to momexp; override
 # with `make rpsweep J=1` to force a serial run.
@@ -114,3 +114,10 @@ fmt-check:
 
 vet:
 	go vet ./...
+
+# perfbench-check vets and builds the host benchmark, a nested module
+# (perfbench/go.mod) that the root `go build ./...` skips: an API change
+# that breaks it fails here. -o /dev/null keeps the binary out of the
+# tree.
+perfbench-check:
+	cd perfbench && go vet ./... && go build -o /dev/null ./...

@@ -48,7 +48,7 @@ func main() {
 	latdist := flag.Bool("latdist", false, "print only the ddr-vs-hbm read-latency distribution table")
 	cpisweep := flag.String("cpisweep", "", "print the CPI-stack cycle-attribution table and write the report to this file as JSON")
 	statsjson := flag.String("statsjson", "", "write the golden-matrix registry snapshots to this file as JSON and exit")
-	dramName := flag.String("dram", "", "main-memory backend for all simulations: fixed, sdram (default: seed flat latency)")
+	dramName := flag.String("dram", "", "main-memory backend for all simulations: fixed, sdram (default: the fixed 100-cycle backend)")
 	dmap := flag.String("dmap", "line", "sdram address mapping: line, bank, row")
 	dsched := flag.String("dsched", "frfcfs", "sdram scheduler: fcfs, frfcfs")
 	dprof := flag.String("dprof", "", "sdram timing profile: ddr (commodity DIMM), hbm (die-stacked)")
@@ -58,7 +58,7 @@ func main() {
 	dwqi := flag.Int("dwqi", 0, "sdram idle-bus opportunistic write-drain gap in cycles (0 = profile default, -1 = off)")
 	dwin := flag.Int("dwin", 0, "sdram FR-FCFS reorder-window override (0 = profile default)")
 	rp := flag.String("rp", "", "sdram per-bank row policy: open, close, timer[:<idle>], history")
-	mshr := flag.Int("mshr", 0, "MSHR count for the non-blocking memory pipeline (0 = blocking model)")
+	mshr := flag.Int("mshr", 0, "MSHR file size; 0 and 1 are both the blocking model, >= 2 the non-blocking pipeline")
 	pf := flag.Int("pf", 0, "stream-prefetcher stream-table entries (0 = off; needs -mshr >= 2)")
 	pfd := flag.Int("pfd", 0, "stream-prefetcher degree: lines kept in flight per stream (0 = default 4)")
 	pfq := flag.Int("pfq", 0, "sdram per-channel cap on prefetch reads in flight (0 = half the read queue)")
@@ -116,8 +116,8 @@ func main() {
 		os.Exit(2)
 	}
 	if mshrSet && *dramName == "" {
-		// The seed's flat model has no spec to carry the knob; "fixed"
-		// is its bit-identical spec form.
+		// The default "" spec carries no knobs; "fixed" is the same
+		// machine in a spec form that can.
 		fmt.Fprintln(os.Stderr, "momexp: -mshr requires -dram fixed or -dram sdram")
 		os.Exit(2)
 	}

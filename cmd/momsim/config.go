@@ -33,7 +33,6 @@ type options struct {
 	PF     int
 	PFD    int
 	PFQ    int
-	PFDec  int
 	L2Lat  int64
 	MemLat int64
 	Gshare bool
@@ -133,7 +132,7 @@ func resolve(o options) (runConfig, error) {
 	}
 	knobs := dram.Knobs{Channels: o.DChan, WQDrain: o.DWQ, Window: o.DWin,
 		WQLow: o.DWQL, WQIdle: int64(o.DWQI), MSHRs: o.MSHR,
-		PFStreams: o.PF, PFDegree: o.PFD, PFQ: o.PFQ, PFDecay: o.PFDec,
+		PFStreams: o.PF, PFDegree: o.PFD, PFQ: o.PFQ,
 		Tenants: tn, QoS: o.QoS, RP: rp}
 	backend, err := dram.BuildOpts(o.DRAM, o.DMap, o.DSched, o.DProf, knobs, o.MemLat)
 	if err != nil {

@@ -74,7 +74,7 @@ func TestResolveMSHR(t *testing.T) {
 	if rc.Timing.MSHRs != 8 {
 		t.Errorf("Timing.MSHRs = %d, want 8", rc.Timing.MSHRs)
 	}
-	// Default stays on the legacy blocking path.
+	// The default leaves MSHRs 0: core.NewMemSystem builds the 1-entry blocking file.
 	if rc2, err := resolve(defaultOptions()); err != nil || rc2.Timing.MSHRs != 0 {
 		t.Errorf("default Timing.MSHRs = %d (err %v), want 0", rc2.Timing.MSHRs, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dram"
 	"repro/internal/engine"
 )
 
@@ -17,60 +18,62 @@ import (
 func FuzzResolve(f *testing.F) {
 	add := func(bench, isa, mem, dram, dmap, dsched, dprof, rp string,
 		dchan, dwq, dwql, dwqi, dwin, mshr, pf, pfd, pfq int, l2, mlat int64,
-		trace, statsjson string, tracebuf, pfdec, tenants int, qos bool,
+		trace, statsjson string, tracebuf, tenants int, qos bool,
 		eng string) {
 		f.Add(bench, isa, mem, dram, dmap, dsched, dprof, rp,
 			dchan, dwq, dwql, dwqi, dwin, mshr, pf, pfd, pfq, l2, mlat,
-			trace, statsjson, tracebuf, pfdec, tenants, qos, eng)
+			trace, statsjson, tracebuf, tenants, qos, eng)
 	}
 	d := defaultOptions()
 	add(d.Bench, d.ISA, d.Mem, d.DRAM, d.DMap, d.DSched, d.DProf, d.RP,
-		0, 0, 0, 0, 0, 0, 0, 0, 0, d.L2Lat, d.MemLat, "", "", 0, 0, d.Tenants, false, d.Engine)
+		0, 0, 0, 0, 0, 0, 0, 0, 0, d.L2Lat, d.MemLat, "", "", 0, d.Tenants, false, d.Engine)
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "hbm", "history",
-		4, 8, 2, 50, 16, 16, 8, 4, 4, 20, 100, "t.json", "s.json", 1024, 0, 1, false, "wheel")
+		4, 8, 2, 50, 16, 16, 8, 4, 4, 20, 100, "t.json", "s.json", 1024, 1, false, "wheel")
 	add("motionsearch", "mom", "vcache", "sdram", "bank", "fcfs", "ddr", "timer:150",
-		0, 0, 0, 0, 0, 8, 0, 0, 0, 40, 100, "", "", 0, 0, 1, false, "step")
+		0, 0, 0, 0, 0, 8, 0, 0, 0, 40, 100, "", "", 0, 1, false, "step")
 	add("jpegencode", "mmx", "multibanked", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "out.json", 0, 0, 1, false, "")
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "out.json", 0, 1, false, "")
 	add("mpeg2decode", "mom3d", "ideal", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false, "wheel")
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 1, false, "wheel")
 	add("quake3", "avx512", "dcache", "hbm", "xor", "rr", "lpddr", "lru",
-		3, -1, 9, -2, -1, -5, 1, -1, -3, -20, -100, "x", "x", -7, -2, -4, true, "turbo")
+		3, -1, 9, -2, -1, -5, 1, -1, -3, -20, -100, "x", "x", -7, -4, true, "turbo")
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "close",
-		0, 0, 0, 0, 0, 1, 8, 0, 0, 20, 100, "", "", 0, 0, 1, false, "") // pf over a blocking file: rejected
+		0, 0, 0, 0, 0, 1, 8, 0, 0, 20, 100, "", "", 0, 1, false, "") // pf over a blocking file: rejected
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "timer:0",
-		0, 0, 0, 0, 0, 16, 8, 0, 0, 20, 100, "", "", 0, 0, 1, false, "") // zero timer gap: rejected
+		0, 0, 0, 0, 0, 16, 8, 0, 0, 20, 100, "", "", 0, 1, false, "") // zero timer gap: rejected
 	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
-		0, 0, 0, 0, 0, 16, 0, 0, 8, 20, 100, "", "", 0, 0, 1, false, "") // pfq without pf: rejected
+		0, 0, 0, 0, 0, 16, 0, 0, 8, 20, 100, "", "", 0, 1, false, "") // pfq without pf: rejected
 	add("mpeg2encode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", -1, 0, 1, false, "") // negative tracebuf: rejected
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", -1, 1, false, "") // negative tracebuf: rejected
 	add("mpeg2encode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 4096, 0, 1, false, "") // tracebuf without trace: rejected
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 4096, 1, false, "") // tracebuf without trace: rejected
 	add("mpeg2encode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "same.json", "same.json", 0, 0, 1, false, "") // colliding outputs: rejected
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "same.json", "same.json", 0, 1, false, "") // colliding outputs: rejected
 	add("motionsearch", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 8, 4, 0, 0, 20, 100, "", "", 0, 200, 4, true, "wheel") // the full multi-tenant config: accepted
+		0, 0, 0, 0, 0, 8, 4, 0, 0, 20, 100, "", "", 0, 4, true, "wheel") // the full multi-tenant config: accepted
 	add("motionsearch", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, true, "") // qos with one tenant: rejected
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 1, true, "") // qos with one tenant: rejected
 	add("motionsearch", "mom3d", "ideal", "fixed", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 4, false, "") // tenants on ideal memory: rejected
-	add("gsmencode", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "", "open",
-		0, 0, 0, 0, 0, 8, 0, 0, 0, 20, 100, "", "", 0, 200, 1, false, "") // pfdecay without pf: rejected
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 4, false, "") // tenants on ideal memory: rejected
+	add("gsmencode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, -100, "", "", 0, 1, false, "") // negative fixed latency: rejected
 	add("motionsearch", "mom3d", "vcache3d", "sdram", "line", "frfcfs", "ddr", "open",
-		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 0, 1, false, "Wheel") // engine names are case-sensitive: rejected
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 100, "", "", 0, 1, false, "Wheel") // engine names are case-sensitive: rejected
+	add("gsmencode", "mom3d", "vcache3d", "fixed", "line", "frfcfs", "ddr", "open",
+		0, 0, 0, 0, 0, 0, 0, 0, 0, 20, 0, "", "", 0, 1, false, "") // zero fixed latency: rejected
 
-	f.Fuzz(func(t *testing.T, bench, isa, mem, dram, dmap, dsched, dprof, rp string,
+	f.Fuzz(func(t *testing.T, bench, isa, mem, dramKind, dmap, dsched, dprof, rp string,
 		dchan, dwq, dwql, dwqi, dwin, mshr, pf, pfd, pfq int, l2, mlat int64,
-		traceOut, statsOut string, tracebuf, pfdec, tenants int, qos bool,
+		traceOut, statsOut string, tracebuf, tenants int, qos bool,
 		eng string) {
 		rc, err := resolve(options{
 			Bench: bench, ISA: isa, Mem: mem,
-			DRAM: dram, DMap: dmap, DSched: dsched, DProf: dprof, RP: rp,
+			DRAM: dramKind, DMap: dmap, DSched: dsched, DProf: dprof, RP: rp,
 			DChan: dchan, DWQ: dwq, DWQL: dwql, DWQI: dwqi, DWin: dwin,
 			MSHR: mshr, PF: pf, PFD: pfd, PFQ: pfq,
 			L2Lat: l2, MemLat: mlat,
 			Trace: traceOut, StatsJSON: statsOut, TraceBuf: tracebuf,
-			PFDec: pfdec, Tenants: tenants, QoS: qos, Engine: eng,
+			Tenants: tenants, QoS: qos, Engine: eng,
 		})
 		if err != nil {
 			return
@@ -92,6 +95,9 @@ func FuzzResolve(f *testing.F) {
 		}
 		if rc.Timing.Backend == nil {
 			t.Fatal("accepted configuration has no DRAM backend")
+		}
+		if fx, ok := rc.Timing.Backend.(*dram.Fixed); ok && fx.Latency < 1 {
+			t.Fatalf("accepted a fixed backend of latency %d; a read must complete after it arrives", fx.Latency)
 		}
 		if rc.Timing.PFStreams > 0 && rc.Timing.MSHRs < 2 {
 			t.Fatalf("accepted a prefetcher over a blocking pipeline: %+v", rc.Timing)

@@ -12,10 +12,10 @@
 // -dwin override the channel count, write-queue drain threshold, drain
 // low watermark, idle-drain gap and FR-FCFS reorder window). -rp picks
 // the per-bank row policy (open, close, timer[:<idle>], history — the
-// 2-bit live/dead predictor). -mshr N enables the non-blocking memory
-// pipeline: N miss-status holding registers decouple instruction issue
-// from memory completion (N=1 is the bit-exact blocking compatibility
-// mode; 0, the default, keeps the legacy blocking path). -pf N adds a
+// 2-bit live/dead predictor). -mshr N sizes the miss-status holding
+// register file every L2 miss passes through: N >= 2 decouples
+// instruction issue from memory completion, while 0 (the default) and
+// 1 both give a 1-entry file, the blocking model. -pf N adds a
 // stream prefetcher over the MSHR file (N stream-table entries; -pfd
 // picks how many lines each stream keeps in flight): predicted L2
 // lines join the lazy MSHR batch as prefetch entries that never stall
@@ -29,9 +29,7 @@
 // per-cycle lockstep and reporting per-tenant IPC and DRAM read
 // latency. -qos turns on per-tenant credit scheduling in the sdram
 // channel scheduler so a streaming tenant cannot starve a
-// latency-sensitive one; -pfdecay N lets the demand-first latch decay
-// after N deferral-free cycles so phased workloads recover full
-// FR-FCFS standing for speculative reads.
+// latency-sensitive one.
 //
 // Address translation: -va <policy> gives every requestor its own
 // virtual address space over one shared physical pool — multi-level
@@ -97,11 +95,10 @@ func main() {
 	dwqi := flag.Int("dwqi", 0, "sdram idle-bus opportunistic write-drain gap in cycles (0 = profile default, -1 = off)")
 	dwin := flag.Int("dwin", 0, "sdram FR-FCFS reorder-window override (0 = profile default)")
 	rp := flag.String("rp", def.RP, "sdram per-bank row policy: open, close, timer[:<idle>], history")
-	mshr := flag.Int("mshr", 0, "MSHR count for the non-blocking memory pipeline (0 = blocking model, 1 = blocking via the MSHR file)")
+	mshr := flag.Int("mshr", 0, "MSHR file size; 0 and 1 are both the blocking model, >= 2 the non-blocking pipeline")
 	pf := flag.Int("pf", 0, "stream-prefetcher stream-table entries (0 = off; needs -mshr >= 2)")
 	pfd := flag.Int("pfd", 0, "stream-prefetcher degree: lines kept in flight per stream (0 = default 4)")
 	pfq := flag.Int("pfq", 0, "sdram per-channel cap on prefetch reads in flight (0 = half the read queue)")
-	pfdecay := flag.Int("pfdecay", 0, "sdram demand-first latch decay: deferral-free cycles before speculative reads regain FR-FCFS standing (0 = sticky latch)")
 	tenants := flag.Int("tenants", def.Tenants, "concurrent requestors sharing L2/MSHR/DRAM, each running its own instance of the kernel (1 = single-requestor simulator)")
 	va := flag.String("va", "", "per-requestor virtual address translation with this placement policy: first, color, colo (default: translation off)")
 	qos := flag.Bool("qos", false, "per-tenant credit scheduling in the sdram channel scheduler (needs -tenants >= 2)")
@@ -123,7 +120,7 @@ func main() {
 	dramKnobSet, dramSet, mlatSet := false, false, false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "dmap", "dsched", "dprof", "dchan", "dwq", "dwql", "dwqi", "dwin", "rp", "pfq", "pfdecay", "qos":
+		case "dmap", "dsched", "dprof", "dchan", "dwq", "dwql", "dwqi", "dwin", "rp", "pfq", "qos":
 			dramKnobSet = true
 		case "dram":
 			dramSet = true
@@ -139,7 +136,7 @@ func main() {
 		Bench: *benchName, ISA: *isaName, Mem: *memName,
 		DRAM: *dramName, DMap: *dmap, DSched: *dsched, DProf: *dprof, RP: *rp,
 		DChan: *dchan, DWQ: *dwq, DWQL: *dwql, DWQI: *dwqi, DWin: *dwin,
-		MSHR: *mshr, PF: *pf, PFD: *pfd, PFQ: *pfq, PFDec: *pfdecay,
+		MSHR: *mshr, PF: *pf, PFD: *pfd, PFQ: *pfq,
 		Tenants: *tenants, QoS: *qos, VA: *va,
 		L2Lat: *l2lat, MemLat: *memLat, Gshare: *gshare, Engine: *engineName,
 		Trace: *traceFile, StatsJSON: *statsFile, TraceBuf: *traceBuf,
@@ -228,18 +225,16 @@ func main() {
 	}
 	fmt.Printf("L2 activity: %d accesses (%d from scalar misses)\n", ms.L2Activity(), ms.ScalarL2Accesses)
 	fmt.Printf("forwarded loads: %d\n", st.Forwarded)
-	if f := ms.MSHR(); f != nil {
-		fs := f.Stats()
-		fmt.Printf("mshr file (%d entries): %d primary misses, %d merges, MLP %.2f (max %d)\n",
-			f.Cap(), fs.Allocs, fs.Merges, fs.MLP(), fs.OccMax)
-		fmt.Printf("mshr batches: %d flushes, avg %.2f requests spanning %.2f instructions (max %d); %d full stalls (%d cycles)\n",
-			fs.Flushes, fs.AvgBatch(), fs.AvgSpan(), fs.SpanMax, fs.FullStalls, fs.StallCycles)
-		if fs.Fill.Count() > 0 {
-			fmt.Printf("mshr miss-to-fill latency: %s\n", fs.Fill)
-		}
-		fmt.Printf("early retirement: %d instructions graduated with misses in flight, %d store-buffer stalls\n",
-			st.EarlyRetired, st.StallSB)
+	fs := ms.MSHR().Stats()
+	fmt.Printf("mshr file (%d entries): %d primary misses, %d merges, MLP %.2f (max %d)\n",
+		ms.MSHR().Cap(), fs.Allocs, fs.Merges, fs.MLP(), fs.OccMax)
+	fmt.Printf("mshr batches: %d flushes, avg %.2f requests spanning %.2f instructions (max %d); %d full stalls (%d cycles)\n",
+		fs.Flushes, fs.AvgBatch(), fs.AvgSpan(), fs.SpanMax, fs.FullStalls, fs.StallCycles)
+	if fs.Fill.Count() > 0 {
+		fmt.Printf("mshr miss-to-fill latency: %s\n", fs.Fill)
 	}
+	fmt.Printf("early retirement: %d instructions graduated with misses in flight, %d store-buffer stalls\n",
+		st.EarlyRetired, st.StallSB)
 	if p := ms.Prefetcher(); p != nil {
 		ps := ms.PrefetchStats()
 		pc := p.Config()
@@ -465,9 +460,6 @@ func runTenants(rc runConfig, insts []isa.Inst, tst *trace.Stats) {
 			rc.Timing.Backend.Name(), ds.Accesses, ds.AchievedBandwidth())
 		if ds.QoSDeferred > 0 || rc.QoS {
 			fmt.Printf("dram qos: %d reads deferred past a tenant's credit\n", ds.QoSDeferred)
-		}
-		if ds.DemandFirstLapses > 0 {
-			fmt.Printf("dram demand-first latch: %d decay lapses\n", ds.DemandFirstLapses)
 		}
 	}
 	if rc.VM != nil {

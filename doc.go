@@ -17,7 +17,9 @@
 //   - a banked SDRAM main-memory controller behind the L2 with
 //     row-buffer timing, configurable address mappings, FCFS/FR-FCFS
 //     scheduling and refresh, alongside the paper's flat-latency model
-//     (internal/dram);
+//     as the fixed backend (internal/dram); every L2 miss reaches the
+//     backend through an MSHR file, whose 1-entry form is the blocking
+//     model;
 //   - an 8-way out-of-order cycle simulator in MMX and MOM
 //     configurations (internal/core), standing in for Jinks;
 //   - the Rixner register-file area model reproducing Table 3 exactly

@@ -115,6 +115,12 @@ func measureGoldenEngine(t *testing.T, transform func(string) string, mode engin
 					Backend: backend, MSHRs: knobs.MSHRs}
 				ms := NewMemSystem(vk.kind, tim, cfg.Lanes, vk.v == kernels.MMX)
 				st := SimulateMode(cfg, ms, tr.Insts, mode)
+				if knobs.MSHRs == 0 && st.EarlyRetired != 0 {
+					// No mshr token: the 1-entry blocking file, whose
+					// completions are final at issue.
+					t.Errorf("%s: blocking file early-retired %d instructions",
+						goldenKey(bm.Name, vk.v, spec), st.EarlyRetired)
+				}
 				if sd, ok := backend.(*dram.SDRAM); ok {
 					sd.Flush()
 				}

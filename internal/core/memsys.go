@@ -67,7 +67,20 @@ type MemSystem struct {
 // NewMemSystem builds a memory system. lanes is the processor's lane
 // count (the vector cache port width in words); bankL1 enables L1 port
 // banking (the MMX multi-banked configuration).
+//
+// Every L2 miss takes one route: core → MSHR file → DRAM backend. A nil
+// tim.Backend becomes a dram.Fixed of tim.MemLatency cycles, and the
+// MSHR file has max(tim.MSHRs, 1) entries, so MSHRs 0 and 1 are the
+// same blocking machine. Both exist for every kind, MemIdeal included,
+// so DRAM and MSHR never return nil.
 func NewMemSystem(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool) *MemSystem {
+	if tim.Backend == nil {
+		tim.Backend = dram.NewFixed(tim.MemLatency)
+	}
+	// One MSHR file serves the vector subsystem and the scalar miss
+	// path: both sit behind the same L2, so their misses share the same
+	// outstanding-line budget and the same Submit batches.
+	tim.MSHR = vmem.NewMSHRFile(tim, max(tim.MSHRs, 1))
 	m := &MemSystem{Kind: kind, Tim: tim}
 	if kind == MemIdeal {
 		// The ideal memory bypasses the cache hierarchy the translation
@@ -81,22 +94,13 @@ func NewMemSystem(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool) *MemSys
 	m.L2 = cache.New(cache.L2Config(tim.L2Latency))
 	// Every L2 miss becomes one backend request per L2 line, so the
 	// backend must agree on the transfer granularity.
-	if tim.Backend != nil && tim.Backend.LineBytes() != m.L2.Config().LineSize {
+	if tim.Backend.LineBytes() != m.L2.Config().LineSize {
 		panic(fmt.Sprintf("dram line bytes %d != L2 line size %d",
 			tim.Backend.LineBytes(), m.L2.Config().LineSize))
 	}
-	if tim.MSHRs >= 1 {
-		// One MSHR file serves the vector subsystem and the scalar miss
-		// path: both sit behind the same L2, so their misses share the
-		// same outstanding-line budget and the same Submit batches.
-		m.Tim.MSHR = vmem.NewMSHRFile(tim, tim.MSHRs)
-	}
 	if tim.PFStreams > 0 {
-		// The stream prefetcher needs the lazy batch to ride: reject
-		// configurations the CLIs should already have screened out.
-		if tim.MSHRs < 2 {
-			panic("core: the stream prefetcher (PFStreams > 0) requires a non-blocking MSHR file (MSHRs >= 2)")
-		}
+		// AttachPrefetcher rejects a blocking file: the prefetcher
+		// rides the lazy batch, which the CLIs already require.
 		pf := vmem.NewPrefetcher(vmem.PrefetchConfig{Streams: tim.PFStreams, Degree: tim.PFDegree},
 			m.L2.Config().LineSize)
 		m.Tim.MSHR.AttachPrefetcher(pf, m.L2)
@@ -232,7 +236,7 @@ func (m *MemSystem) ScalarAccess(in *isa.Inst, t int64) (int64, *vmem.Pending) {
 	// gates the load.
 	m.scalarBatch = m.scalarBatch[:0]
 	m.scalarBatch = append(m.scalarBatch, dram.Request{Addr: addr, At: done})
-	if res.Writeback && m.Tim.Backend != nil {
+	if res.Writeback {
 		m.scalarBatch = append(m.scalarBatch, dram.Request{Addr: res.VictimAddr, Write: true, At: done})
 	}
 	return m.Tim.Complete(m.scalarBatch, m.scalarPF[:0], done)
@@ -245,13 +249,12 @@ func (m *MemSystem) L2Activity() uint64 {
 }
 
 // DRAM returns the main-memory backend shared by the vector and scalar
-// paths, or nil when the flat MemLatency model is in use.
+// paths.
 func (m *MemSystem) DRAM() dram.Backend {
 	return m.Tim.Backend
 }
 
-// MSHR returns the miss-status holding register file, or nil when the
-// blocking model is in use.
+// MSHR returns the miss-status holding register file.
 func (m *MemSystem) MSHR() *vmem.MSHRFile {
 	return m.Tim.MSHR
 }
@@ -259,18 +262,12 @@ func (m *MemSystem) MSHR() *vmem.MSHRFile {
 // Prefetcher returns the stream prefetcher attached to the MSHR file,
 // or nil when prefetching is off.
 func (m *MemSystem) Prefetcher() *vmem.Prefetcher {
-	if m.Tim.MSHR == nil {
-		return nil
-	}
 	return m.Tim.MSHR.Prefetcher()
 }
 
 // PrefetchStats returns the prefetcher's counters (with the useless-
 // eviction count folded in), or the zero value when prefetching is off.
 func (m *MemSystem) PrefetchStats() vmem.PrefetchStats {
-	if m.Tim.MSHR == nil {
-		return vmem.PrefetchStats{}
-	}
 	return m.Tim.MSHR.PrefetchStats()
 }
 
@@ -278,7 +275,5 @@ func (m *MemSystem) PrefetchStats() vmem.PrefetchStats {
 // file's pending batch, so end-of-run statistics (and the dram write
 // queue) account for all traffic the run generated.
 func (m *MemSystem) Drain() {
-	if m.Tim.MSHR != nil {
-		m.Tim.MSHR.Drain()
-	}
+	m.Tim.MSHR.Drain()
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/dram"
@@ -54,46 +53,12 @@ func simBenchPF(t *testing.T, tr *trace.Trace, v kernels.Variant, kind MemKind, 
 	return Simulate(cfg, ms, tr.Insts), ms
 }
 
-// TestMSHR1MatchesBlockingAllBenchmarks is the refactor's safety net:
-// with a 1-entry MSHR file the decoupled machinery must reproduce the
-// blocking model's cycle counts bit-identically on every benchmark,
-// over both the flat backend and the banked SDRAM.
-func TestMSHR1MatchesBlockingAllBenchmarks(t *testing.T) {
-	variants := []struct {
-		v    kernels.Variant
-		kind MemKind
-	}{
-		{kernels.MOM3D, MemVectorCache3D},
-		{kernels.MOM, MemVectorCache},
-		{kernels.MMX, MemMultiBanked},
-	}
-	for _, bm := range equivBenches() {
-		for _, vk := range variants {
-			tr := &trace.Trace{}
-			bm.Run(vk.v, tr)
-			for _, spec := range []string{"fixed", "sdram/line/frfcfs"} {
-				name := fmt.Sprintf("%s/%v/%s", bm.Name, vk.v, spec)
-				blocking := simBench(t, tr, vk.v, vk.kind, spec, 0)
-				mshr1 := simBench(t, tr, vk.v, vk.kind, spec, 1)
-				if blocking.Cycles != mshr1.Cycles {
-					t.Errorf("%s: -mshr 1 cycles %d != blocking %d", name, mshr1.Cycles, blocking.Cycles)
-				}
-				if blocking.Committed != mshr1.Committed {
-					t.Errorf("%s: committed %d != %d", name, mshr1.Committed, blocking.Committed)
-				}
-				if mshr1.EarlyRetired != 0 {
-					t.Errorf("%s: blocking-mode file early-retired %d instructions", name, mshr1.EarlyRetired)
-				}
-			}
-		}
-	}
-}
-
 // TestPrefetchOffMatchesNoPrefetcher extends the equivalence net over
 // the prefetch-off path: a Timing with PFStreams 0 must run the exact
 // code the pre-prefetcher model ran, so cycles and commits match a
 // configuration that never mentions the prefetcher, on the blocking
-// model, the blocking-mode file and the decoupled file alike. (The
+// file (MSHRs 0 and 1 build the same one) and the decoupled file
+// alike. (The
 // absolute pre-PR baselines are pinned separately by TestGoldenStats.)
 func TestPrefetchOffMatchesNoPrefetcher(t *testing.T) {
 	bm := kernels.MotionSearch(kernels.SmallMotionSearchConfig())

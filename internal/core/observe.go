@@ -32,8 +32,8 @@ func (s *Stats) Register(reg *stats.Registry) {
 
 // Register wires every stat struct the memory system owns into reg
 // under the package naming scheme. Subsystems the configuration does
-// not instantiate (no caches under MemIdeal, no MSHR file in blocking
-// mode, no prefetcher, flat memory) simply contribute no names.
+// not instantiate (no caches under MemIdeal, no prefetcher, no address
+// translation) simply contribute no names.
 func (m *MemSystem) Register(reg *stats.Registry) {
 	if m.L1 != nil {
 		reg.AddStruct("cache.l1", &m.L1.Stats)
@@ -43,18 +43,14 @@ func (m *MemSystem) Register(reg *stats.Registry) {
 	}
 	reg.AddStruct("vmem", m.VM.Stats())
 	reg.Counter("vmem.scalar_l2_accesses", func() uint64 { return m.ScalarL2Accesses })
-	if f := m.MSHR(); f != nil {
-		reg.AddStruct("vmem.mshr", f.Stats())
-		if pf := f.Prefetcher(); pf != nil {
-			reg.AddStruct("vmem.prefetch", pf.Stats())
-			// Useless is derived from the L2's eviction accounting at
-			// read time; sync it into the live struct on every snapshot.
-			reg.OnSnapshot(func() { m.PrefetchStats() })
-		}
+	reg.AddStruct("vmem.mshr", m.MSHR().Stats())
+	if pf := m.Prefetcher(); pf != nil {
+		reg.AddStruct("vmem.prefetch", pf.Stats())
+		// Useless is derived from the L2's eviction accounting at read
+		// time; sync it into the live struct on every snapshot.
+		reg.OnSnapshot(func() { m.PrefetchStats() })
 	}
-	if b := m.DRAM(); b != nil {
-		reg.AddStruct("dram", b.Stats())
-	}
+	reg.AddStruct("dram", m.DRAM().Stats())
 	if sp := m.Tim.VA; sp != nil {
 		// Single-requestor view: the shared L2 TLB/walk counters and
 		// this space's private L1/fault counters share the vm.tlb
@@ -73,9 +69,7 @@ func (m *MemSystem) AttachTracer(tr *stats.Tracer) {
 	if b, ok := m.DRAM().(dram.Traceable); ok {
 		b.SetTracer(tr)
 	}
-	if f := m.MSHR(); f != nil {
-		f.SetTracer(tr)
-	}
+	m.MSHR().SetTracer(tr)
 	if sp := m.Tim.VA; sp != nil {
 		sp.VM().SetTracer(tr)
 	}

@@ -168,14 +168,11 @@ type Stats struct {
 	PrefetchReads    uint64
 	PrefetchDeferred uint64
 
-	// DemandFirstLapses counts channels' demand-first latches decaying
-	// back to classic FR-FCFS after Config.PFDecay quiet cycles (always
-	// 0 under the default sticky latch). QoSDeferred counts scheduling
-	// turns an over-share tenant's read yielded to an under-share
-	// tenant's in the QoS window pick (Config.QoS) — the same read can
-	// yield several turns before it is served.
-	DemandFirstLapses uint64
-	QoSDeferred       uint64
+	// QoSDeferred counts scheduling turns an over-share tenant's read
+	// yielded to an under-share tenant's in the QoS window pick
+	// (Config.QoS) — the same read can yield several turns before it is
+	// served.
+	QoSDeferred uint64
 
 	// TenantMisroute counts requests whose ID carried a tenant tag
 	// outside the allocated stat-shard range. Such requests are still

@@ -2,7 +2,6 @@ package dram
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -139,14 +138,6 @@ type Config struct {
 	// queue depth; QueueDepth or more effectively disables the cap.
 	PFQCap int
 
-	// PFDecay, when positive, lets the demand-first latch decay: a
-	// channel that admitPrefetch latched into demand-first picking
-	// returns speculative reads to full FR-FCFS standing once PFDecay
-	// cycles pass without another deferral on that channel, so phased
-	// workloads recover speculation after a burst of prefetch pressure.
-	// 0 keeps the historical sticky latch.
-	PFDecay int64
-
 	// Tenants is the number of requestor tags sharing the part (0 or 1
 	// = single requestor; see TagTenant). QoS turns on per-tenant
 	// credit scheduling in each channel: a tenant's reads are capped at
@@ -212,16 +203,13 @@ type bank struct {
 // out and bandwidth scales with channel count.
 type channel struct {
 	banks       []bank
-	busFree     int64   // data bus: one burst at a time
-	busWrite    bool    // last burst was a write (turnaround tracking)
-	cmdFree     int64   // FCFS: command issue serialization point
-	nextRefresh int64   // next refresh epoch boundary
-	inflight    []int64 // completion times of queued reads
-	pfInflight  []int64 // completion times of queued prefetch reads (PFQCap)
-	// demandUntil is the demand-first latch: while a pending read's
-	// arrival is below it the pick keeps demands ahead of speculation.
-	// 0 = unlatched; math.MaxInt64 = the sticky latch (PFDecay off).
-	demandUntil int64
+	busFree     int64     // data bus: one burst at a time
+	busWrite    bool      // last burst was a write (turnaround tracking)
+	cmdFree     int64     // FCFS: command issue serialization point
+	nextRefresh int64     // next refresh epoch boundary
+	inflight    []int64   // completion times of queued reads
+	pfInflight  []int64   // completion times of queued prefetch reads (PFQCap)
+	demandFirst bool      // speculative pressure seen: pick demands first
 	tenInflight [][]int64 // QoS: completion times of queued reads per tenant
 	writeQ      []Request // posted writes awaiting a threshold drain
 }
@@ -315,9 +303,6 @@ func NewSDRAM(cfg Config) *SDRAM {
 	}
 	if cfg.RowPolicy.Kind == policy.Timer && cfg.RowPolicy.Idle <= 0 {
 		panic("dram: timer row policy needs a positive idle gap")
-	}
-	if cfg.PFDecay < 0 {
-		panic("dram: demand-first decay must not be negative")
 	}
 	if cfg.Tenants < 0 {
 		panic("dram: tenant count must not be negative")
@@ -691,10 +676,8 @@ func (s *SDRAM) pfUnderCap(c *channel, t int64) bool {
 // completes (counted in PrefetchDeferred), so speculative traffic can
 // never crowd demand reads out of more than its share of the bounded
 // queue. Crossing the cap also latches the channel into demand-first
-// picking (see scheduleReads): sticky by default, or for PFDecay
-// cycles past the deferral when decay is configured — a channel whose
-// speculative stream stays under its share that long earns its full
-// FR-FCFS standing back. Demand reads pass through untouched.
+// picking for good (see scheduleReads). Demand reads pass through
+// untouched.
 func (s *SDRAM) admitPrefetch(c *channel, t0 int64) int64 {
 	live := c.pfInflight[:0]
 	for _, done := range c.pfInflight {
@@ -707,13 +690,7 @@ func (s *SDRAM) admitPrefetch(c *channel, t0 int64) int64 {
 		return t0
 	}
 	s.st.PrefetchDeferred++
-	if s.cfg.PFDecay > 0 {
-		if until := t0 + s.cfg.PFDecay; until > c.demandUntil {
-			c.demandUntil = until
-		}
-	} else {
-		c.demandUntil = math.MaxInt64
-	}
+	c.demandFirst = true
 	for len(c.pfInflight) >= s.cfg.PFQCap {
 		earliest := 0
 		for i := 1; i < len(c.pfInflight); i++ {
@@ -980,15 +957,9 @@ func (s *SDRAM) scheduleReads(ch int, batch []Request, pend []int) {
 				w = s.cfg.ReorderWindow
 			}
 			// Speculative reads keep full FR-FCFS standing until the
-			// channel's speculative stream overruns its PFQCap share
-			// (the admitPrefetch deferral latch), and win it back once
-			// the latch decays: PFDecay quiet cycles with no further
-			// deferral unlatch the channel.
-			if c.demandUntil != 0 && batch[pend[0]].At >= c.demandUntil {
-				c.demandUntil = 0
-				s.st.DemandFirstLapses++
-			}
-			classic := c.demandUntil == 0
+			// channel's speculative stream first overruns its PFQCap
+			// share (the admitPrefetch deferral latch).
+			classic := !c.demandFirst
 			pick = -1
 			demandHit, demand, pfHit := -1, -1, -1
 			for i := 0; i < w; i++ {

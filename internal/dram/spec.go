@@ -95,12 +95,6 @@ type Knobs struct {
 	PFStreams int
 	PFDegree  int
 
-	// PFDecay (-pfdecay / "pfdec<n>") lets the demand-first latch decay
-	// after that many deferral-free cycles (Config.PFDecay); 0 keeps
-	// the sticky latch. It needs a prefetcher to matter, so like pfq it
-	// requires PFStreams > 0.
-	PFDecay int
-
 	// Tenants (-tenants / "tn<n>") is the requestor count of a
 	// multi-tenant run. Like MSHRs it mostly configures layers above
 	// the controller (the tenant front end), so it is legal on every
@@ -160,9 +154,6 @@ func (k Knobs) apply(cfg Config) Config {
 	if k.PFQ > 0 {
 		cfg.PFQCap = k.PFQ
 	}
-	if k.PFDecay > 0 {
-		cfg.PFDecay = int64(k.PFDecay)
-	}
 	if k.Tenants > 0 {
 		cfg.Tenants = k.Tenants
 	}
@@ -174,8 +165,9 @@ func (k Knobs) apply(cfg Config) Config {
 
 // Build constructs a backend from flag-level strings: kind is "fixed"
 // or "sdram"; mapping and sched configure the SDRAM variants;
-// fixedLatency is the flat latency of the fixed backend. The default
-// DDR profile and preset knobs apply; BuildOpts exposes them.
+// fixedLatency is the flat latency of the fixed backend, at least 1
+// cycle. The default DDR profile and preset knobs apply; BuildOpts
+// exposes them.
 func Build(kind, mapping, sched string, fixedLatency int64) (Backend, error) {
 	return BuildOpts(kind, mapping, sched, "", Knobs{}, fixedLatency)
 }
@@ -207,19 +199,15 @@ func BuildOpts(kind, mapping, sched, prof string, knobs Knobs, fixedLatency int6
 	}
 	if knobs.Channels < 0 || knobs.WQDrain < 0 || knobs.Window < 0 ||
 		knobs.WQLow < -1 || knobs.WQIdle < -1 || knobs.MSHRs < 0 ||
-		knobs.PFStreams < 0 || knobs.PFDegree < 0 || knobs.PFQ < 0 ||
-		knobs.PFDecay < 0 || knobs.Tenants < 0 {
-		return nil, fmt.Errorf("controller knobs must be positive (channels %d, wq drain %d, window %d, wq low %d, wq idle %d, mshrs %d, pf %d, pfd %d, pfq %d, pfdec %d, tn %d; wq low/idle -1 = explicitly off)",
-			knobs.Channels, knobs.WQDrain, knobs.Window, knobs.WQLow, knobs.WQIdle, knobs.MSHRs, knobs.PFStreams, knobs.PFDegree, knobs.PFQ, knobs.PFDecay, knobs.Tenants)
+		knobs.PFStreams < 0 || knobs.PFDegree < 0 || knobs.PFQ < 0 || knobs.Tenants < 0 {
+		return nil, fmt.Errorf("controller knobs must be positive (channels %d, wq drain %d, window %d, wq low %d, wq idle %d, mshrs %d, pf %d, pfd %d, pfq %d, tn %d; wq low/idle -1 = explicitly off)",
+			knobs.Channels, knobs.WQDrain, knobs.Window, knobs.WQLow, knobs.WQIdle, knobs.MSHRs, knobs.PFStreams, knobs.PFDegree, knobs.PFQ, knobs.Tenants)
 	}
 	if knobs.PFDegree > 0 && knobs.PFStreams == 0 {
 		return nil, fmt.Errorf("prefetch degree %d needs a stream count (-pf / pf<n>)", knobs.PFDegree)
 	}
 	if knobs.PFQ > 0 && knobs.PFStreams == 0 {
 		return nil, fmt.Errorf("prefetch queue cap %d needs a stream count (-pf / pf<n>)", knobs.PFQ)
-	}
-	if knobs.PFDecay > 0 && knobs.PFStreams == 0 {
-		return nil, fmt.Errorf("demand-first decay %d governs prefetch scheduling and needs a stream count (-pf / pf<n>)", knobs.PFDecay)
 	}
 	if knobs.QoS && knobs.Tenants < 2 {
 		return nil, fmt.Errorf("qos scheduling partitions the channel between requestors and needs a tenant count of at least 2 (-tenants / tn<n>)")
@@ -230,6 +218,10 @@ func BuildOpts(kind, mapping, sched, prof string, knobs Knobs, fixedLatency int6
 	}
 	switch kind {
 	case "fixed":
+		// A read must complete after it arrives (Completion.Done > At).
+		if fixedLatency < 1 {
+			return nil, fmt.Errorf("fixed backend latency %d must be at least 1 cycle", fixedLatency)
+		}
 		return NewFixed(fixedLatency), nil
 	case "sdram":
 		cfg := knobs.apply(p.Config())
@@ -255,7 +247,7 @@ func BuildOpts(kind, mapping, sched, prof string, knobs Knobs, fixedLatency int6
 func ValidateFlagCombo(kind string, sdramKnobSet, mlatSet bool) error {
 	kind = strings.ToLower(kind)
 	if sdramKnobSet && kind != "sdram" {
-		return fmt.Errorf("-dmap/-dsched/-dprof/-dchan/-dwq/-dwql/-dwqi/-dwin/-rp/-pfq/-pfdecay/-qos require -dram sdram")
+		return fmt.Errorf("-dmap/-dsched/-dprof/-dchan/-dwq/-dwql/-dwqi/-dwin/-rp/-pfq/-qos require -dram sdram")
 	}
 	if mlatSet && kind == "sdram" {
 		return fmt.Errorf("-mlat applies to the fixed backend only; drop it with -dram sdram")
@@ -273,7 +265,7 @@ func FormatSpec(kind, mapping, sched string) string {
 
 // FormatSpecOpts renders the full
 // "sdram/<mapping>/<sched>[/<profile>][/<n>ch][/wq<n>][/wql<n>]
-// [/wqi<n>][/win<n>][/rp<name>[:<n>]][/pfq<n>][/pfdec<n>][/qos]
+// [/wqi<n>][/win<n>][/rp<name>[:<n>]][/pfq<n>][/qos]
 // [/mshr<n>][/pf<n>d<m>][/tn<n>]" form; zero-valued knobs and an empty
 // profile are omitted. The mshr, pf and tn knobs survive on the fixed
 // kind too — they configure layers above the controller.
@@ -310,9 +302,6 @@ func FormatSpecOpts(kind, mapping, sched, prof string, knobs Knobs) string {
 		if knobs.PFQ > 0 {
 			s += fmt.Sprintf("/pfq%d", knobs.PFQ)
 		}
-		if knobs.PFDecay > 0 {
-			s += fmt.Sprintf("/pfdec%d", knobs.PFDecay)
-		}
 		if knobs.QoS {
 			s += "/qos"
 		}
@@ -342,11 +331,10 @@ func FormatSpecOpts(kind, mapping, sched, prof string, knobs Knobs) string {
 }
 
 // parseKnob recognizes the spec knob tokens: "<n>ch", "wq<n>",
-// "wql<n>", "wqi<n>", "win<n>", "rp<name>[:<n>]", "pfq<n>", "pfdec<n>",
+// "wql<n>", "wqi<n>", "win<n>", "rp<name>[:<n>]", "pfq<n>",
 // "qos", "va"/"vacolor"/"vacolo", "mshr<n>", "tn<n>", "pf<n>" and
-// "pf<n>d<m>". Longer prefixes
-// are tried first so "wql2" never half-matches "wq" and "pfq8"/"pfdec50"
-// never half-match "pf".
+// "pf<n>d<m>". Longer prefixes are tried first so "wql2" never
+// half-matches "wq" and "pfq8" never half-matches "pf".
 func parseKnob(tok string, k *Knobs) bool {
 	if n, ok := strings.CutSuffix(tok, "ch"); ok {
 		if v, err := strconv.Atoi(n); err == nil && v > 0 {
@@ -383,13 +371,6 @@ func parseKnob(tok string, k *Knobs) bool {
 	if n, ok := strings.CutPrefix(tok, "pfq"); ok {
 		if v, err := strconv.Atoi(n); err == nil && v > 0 {
 			k.PFQ = v
-			return true
-		}
-		return false
-	}
-	if n, ok := strings.CutPrefix(tok, "pfdec"); ok {
-		if v, err := strconv.Atoi(n); err == nil && v > 0 {
-			k.PFDecay = v
 			return true
 		}
 		return false
@@ -456,7 +437,7 @@ func ParseSpec(spec string, fixedLatency int64) (Backend, error) {
 //
 //	fixed[/mshr<n>][/pf<n>[d<m>]][/tn<n>][/va|vacolor|vacolo]
 //	sdram[/mapping[/sched[/profile]]][/<n>ch][/wq<n>][/wql<n>]
-//	     [/wqi<n>][/win<n>][/rp<name>[:<n>]][/pfq<n>][/pfdec<n>]
+//	     [/wqi<n>][/win<n>][/rp<name>[:<n>]][/pfq<n>]
 //	     [/qos][/mshr<n>][/pf<n>[d<m>]][/tn<n>][/va|vacolor|vacolo]
 //
 // Omitted sdram fields default to line/frfcfs/ddr; knob segments may
@@ -493,7 +474,7 @@ func ParseSpecFull(spec string, fixedLatency int64) (Backend, Knobs, error) {
 		}
 		if err != nil {
 			return nil, Knobs{}, fmt.Errorf(
-				"unknown token %q in spec %q (want mapping line|bank|row, scheduler fcfs|frfcfs, profile ddr|hbm, or a knob: <n>ch wq<n> wql<n> wqi<n> win<n> rp<open|close|timer[:<n>]|history> pfq<n> pfdec<n> qos mshr<n> pf<n>[d<m>] tn<n> va|vacolor|vacolo)",
+				"unknown token %q in spec %q (want mapping line|bank|row, scheduler fcfs|frfcfs, profile ddr|hbm, or a knob: <n>ch wq<n> wql<n> wqi<n> win<n> rp<open|close|timer[:<n>]|history> pfq<n> qos mshr<n> pf<n>[d<m>] tn<n> va|vacolor|vacolo)",
 				tok, spec)
 		}
 		pos++

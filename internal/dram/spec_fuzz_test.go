@@ -53,16 +53,16 @@ func FuzzParseSpec(f *testing.F) {
 		"sdram/line/frfcfs/pf-1d2",
 		"sdram/line/frfcfs/mshr99999999999999999999",
 		"sdram/line/frfcfs/tn4/qos",
-		"sdram/line/frfcfs/mshr8/pf4/pfdec200/tn4/qos",
+		"sdram/line/frfcfs/mshr8/pf4/tn4/qos",
 		"fixed/tn2",
-		"sdram/qos",         // rejected: qos without tenants
-		"sdram/tn1/qos",     // rejected: qos needs at least 2 tenants
-		"sdram/pfdec100",    // rejected: pfdec without pf
-		"fixed/qos",         // rejected: controller token on fixed
-		"fixed/pfdec50",     // rejected: ditto
-		"sdram/tn0",         // rejected: malformed tenant count
-		"sdram/tn-3",        // rejected: ditto
-		"sdram/mshr8/pfdec", // rejected: pfdec with no count
+		"sdram/qos",                // rejected: qos without tenants
+		"sdram/tn1/qos",            // rejected: qos needs at least 2 tenants
+		"sdram/mshr8/pf4/pfdec100", // rejected: pfdec is not a token
+		"fixed/qos",                // rejected: controller token on fixed
+		"fixed/pfq4",               // rejected: ditto
+		"sdram/tn0",                // rejected: malformed tenant count
+		"sdram/tn-3",               // rejected: ditto
+		"sdram/mshr8/pf4/pfq0",     // rejected: pfq with a zero count
 	} {
 		f.Add(seed)
 	}

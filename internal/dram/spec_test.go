@@ -72,8 +72,8 @@ func TestSpecMSHRKnob(t *testing.T) {
 }
 
 // TestSpecTenantKnobs: tn<n> is a front-end knob like mshr — allowed on
-// every kind — while qos and pfdec<n> configure the SDRAM controller
-// and carry their own preconditions (qos needs tn≥2, pfdec needs pf).
+// every kind — while qos configures the SDRAM controller and needs
+// tn≥2.
 func TestSpecTenantKnobs(t *testing.T) {
 	// tn parses anywhere.
 	for _, spec := range []string{"fixed/tn2", "sdram/tn4", "sdram/line/frfcfs/tn4"} {
@@ -85,22 +85,22 @@ func TestSpecTenantKnobs(t *testing.T) {
 	}
 
 	// The full multi-tenant spec lands in the controller config.
-	b, knobs, err := ParseSpecFull("sdram/line/frfcfs/mshr8/pf4/pfdec200/tn4/qos", 100)
+	b, knobs, err := ParseSpecFull("sdram/line/frfcfs/mshr8/pf4/tn4/qos", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := b.(*SDRAM).Config()
-	if !cfg.QoS || cfg.Tenants != 4 || cfg.PFDecay != 200 {
-		t.Errorf("cfg QoS=%v Tenants=%d PFDecay=%d, want true/4/200", cfg.QoS, cfg.Tenants, cfg.PFDecay)
+	if !cfg.QoS || cfg.Tenants != 4 {
+		t.Errorf("cfg QoS=%v Tenants=%d, want true/4", cfg.QoS, cfg.Tenants)
 	}
-	if knobs.Tenants != 4 || !knobs.QoS || knobs.PFDecay != 200 {
-		t.Errorf("knobs = %+v, want Tenants 4, QoS, PFDecay 200", knobs)
+	if knobs.Tenants != 4 || !knobs.QoS {
+		t.Errorf("knobs = %+v, want Tenants 4, QoS", knobs)
 	}
 
 	// FormatSpecOpts round-trips the new segments.
 	spec := FormatSpecOpts("sdram", "line", "frfcfs", "",
-		Knobs{MSHRs: 8, PFStreams: 4, PFDecay: 200, Tenants: 4, QoS: true})
-	if want := "sdram/line/frfcfs/pfdec200/qos/mshr8/pf4/tn4"; spec != want {
+		Knobs{MSHRs: 8, PFStreams: 4, Tenants: 4, QoS: true})
+	if want := "sdram/line/frfcfs/qos/mshr8/pf4/tn4"; spec != want {
 		t.Fatalf("FormatSpecOpts = %q, want %q", spec, want)
 	}
 	if _, k2, err := ParseSpecFull(spec, 100); err != nil {
@@ -114,13 +114,10 @@ func TestSpecTenantKnobs(t *testing.T) {
 		spec string
 		want string
 	}{
-		{"sdram/line/frfcfs/qos", "tenant count"},        // qos without tn
-		{"sdram/line/frfcfs/tn1/qos", "at least 2"},      // qos on one tenant
-		{"sdram/line/frfcfs/pfdec200", "stream count"},   // pfdec without pf
-		{"fixed/qos", "sdram"},                           // controller token on fixed
-		{"fixed/pfdec100", "sdram"},                      // ditto
-		{"sdram/line/frfcfs/tn0", "tn0"},                 // malformed value
-		{"sdram/line/frfcfs/mshr8/pf4/pfdec0", "pfdec0"}, // ditto
+		{"sdram/line/frfcfs/qos", "tenant count"},   // qos without tn
+		{"sdram/line/frfcfs/tn1/qos", "at least 2"}, // qos on one tenant
+		{"fixed/qos", "sdram"},                      // controller token on fixed
+		{"sdram/line/frfcfs/tn0", "tn0"},            // malformed value
 	}
 	for _, c := range rejects {
 		if _, _, err := ParseSpecFull(c.spec, 100); err == nil {

@@ -1,11 +1,16 @@
 package experiments
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernels"
+	"repro/internal/stats"
 )
 
 func TestDRAMSweepShape(t *testing.T) {
@@ -103,6 +108,71 @@ func TestFixedSpecMatchesSeedModel(t *testing.T) {
 			t.Errorf("%s: fixed backend %d cycles vs seed model %d", bench, fixed.Cycles(), seed.Cycles())
 		}
 	}
+}
+
+// TestSingleMemoryRoute: every L2 miss takes one route, MSHR file then
+// DRAM backend. The "" spec is the fixed backend and MSHRs 0 is the
+// 1-entry file, so each pair below must produce the same registry
+// snapshot, key for key and value for value, on every memory kind.
+func TestSingleMemoryRoute(t *testing.T) {
+	r := mshrRunner()
+	pairs := [][2]string{
+		{"", "fixed"},
+		{"fixed", "fixed/mshr1"},
+		{"sdram/line/frfcfs", "sdram/line/frfcfs/mshr1"},
+	}
+	configs := []struct {
+		v    kernels.Variant
+		kind core.MemKind
+	}{
+		{kernels.MOM3D, core.MemVectorCache3D},
+		{kernels.MOM, core.MemVectorCache},
+		{kernels.MMX, core.MemMultiBanked},
+		{kernels.MOM, core.MemIdeal},
+	}
+	for _, bench := range MSHRBenches {
+		for _, c := range configs {
+			for _, p := range pairs {
+				a := r.SimDRAM(bench, c.v, c.kind, baseLat, p[0]).Snap
+				b := r.SimDRAM(bench, c.v, c.kind, baseLat, p[1]).Snap
+				if !reflect.DeepEqual(a, b) {
+					t.Errorf("%s/%v/%v: snapshots of %q and %q differ:\n%s", bench, c.v, c.kind, p[0], p[1], snapDiff(a, b))
+				}
+			}
+		}
+	}
+}
+
+// snapDiff lists the keys whose values differ between two snapshots;
+// a key present in only one shows its missing side as <nil>.
+func snapDiff(a, b stats.Snapshot) string {
+	flat := func(s stats.Snapshot) map[string]any {
+		m := map[string]any{}
+		for n, v := range s.Counters {
+			m["counter "+n] = v
+		}
+		for n, v := range s.Gauges {
+			m["gauge "+n] = v
+		}
+		for n, v := range s.Hists {
+			m["histogram "+n] = v
+		}
+		return m
+	}
+	fa, fb := flat(a), flat(b)
+	var out []string
+	for _, m := range []map[string]any{fa, fb} {
+		for k := range m {
+			if !reflect.DeepEqual(fa[k], fb[k]) && !slices.Contains(out, k) {
+				out = append(out, k)
+			}
+		}
+	}
+	sort.Strings(out)
+	for i, k := range out {
+		out[i] = fmt.Sprintf("  %s: %v vs %v", k, fa[k], fb[k])
+	}
+	return strings.Join(out, "\n")
 }
 
 func TestRunnerDRAMSpecAppliesToSim(t *testing.T) {

@@ -8,9 +8,7 @@ import (
 )
 
 // MSHRCounts lists the MSHR file sizes the non-blocking-pipeline sweep
-// crosses. 1 is the bit-exact blocking compatibility mode, so its
-// column doubles as the refactor's equivalence check against the
-// legacy blocking column.
+// crosses. 1 is the blocking model.
 var MSHRCounts = []int{1, 4, 8, 16}
 
 // MSHRBenches are the streaming kernels the sweep runs: the two
@@ -29,9 +27,6 @@ type MSHRSweepRow struct {
 	Bench   string
 	Profile string // "ddr" or "hbm"
 
-	BlockCycles int64   // legacy blocking path (no MSHR file)
-	BlockBW     float64 // achieved bytes/cycle under blocking
-
 	Cycles []int64   // per MSHRCounts entry
 	BW     []float64 // achieved bytes/cycle per MSHRCounts entry
 	MLP    []float64 // mean outstanding misses at allocation
@@ -39,29 +34,27 @@ type MSHRSweepRow struct {
 }
 
 // mshrSpec composes the sweep's backend spec for one profile and MSHR
-// count (0 = no mshr segment: the legacy blocking path).
+// count.
 func mshrSpec(profile string, mshrs int) string {
 	s := "sdram/line/frfcfs"
 	if profile != "" {
 		s += "/" + profile
 	}
-	if mshrs > 0 {
-		s += fmt.Sprintf("/mshr%d", mshrs)
-	}
-	return s
+	return s + fmt.Sprintf("/mshr%d", mshrs)
 }
 
 // MSHRSweep runs the non-blocking-pipeline sweep: for each streaming
-// kernel and timing profile, the blocking model against MSHR files of
-// increasing size. It is the experiment behind the issue/completion
-// split: achieved bandwidth should rise once the file covers an
-// instruction's intrinsic line-level parallelism (a dvload spans up to
-// 16 lines) and keeps rising as batches span multiple instructions.
+// kernel and timing profile, MSHR files of increasing size, starting
+// from the 1-entry blocking model. It is the experiment behind the
+// issue/completion split: achieved bandwidth should rise once the file
+// covers an instruction's intrinsic line-level parallelism (a dvload
+// spans up to 16 lines) and keeps rising as batches span multiple
+// instructions.
 func MSHRSweep(r *Runner) []MSHRSweepRow {
 	var cells []SimKey
 	for _, bench := range MSHRBenches {
 		for _, prof := range MSHRProfiles {
-			for _, n := range append([]int{0}, MSHRCounts...) {
+			for _, n := range MSHRCounts {
 				cells = append(cells, SimKey{Bench: bench, Variant: kernels.MOM3D,
 					Mem: mom3DVCKind, L2Lat: baseLat, DRAM: mshrSpec(prof, n)})
 			}
@@ -76,9 +69,6 @@ func MSHRSweep(r *Runner) []MSHRSweepRow {
 				name = "ddr"
 			}
 			row := MSHRSweepRow{Bench: bench, Profile: name}
-			blk := r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, mshrSpec(prof, 0))
-			row.BlockCycles = blk.Cycles()
-			row.BlockBW = blk.DRAM.AchievedBandwidth()
 			for _, n := range MSHRCounts {
 				res := r.SimDRAM(bench, kernels.MOM3D, mom3DVCKind, baseLat, mshrSpec(prof, n))
 				row.Cycles = append(row.Cycles, res.Cycles())
@@ -96,24 +86,23 @@ func MSHRSweep(r *Runner) []MSHRSweepRow {
 func RenderMSHRSweep(rows []MSHRSweepRow) string {
 	var b strings.Builder
 	b.WriteString("MSHR sweep — blocking model vs non-blocking memory pipeline (MOM+3D, vector cache + 3D, sdram/line/frfcfs)\n")
-	fmt.Fprintf(&b, "%-14s %-4s %10s", "benchmark", "prof", "block cyc")
+	fmt.Fprintf(&b, "%-14s %-4s", "benchmark", "prof")
 	for _, n := range MSHRCounts {
 		fmt.Fprintf(&b, " %7s %6s", fmt.Sprintf("mshr%d", n), "B/cyc")
 	}
 	b.WriteByte('\n')
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-14s %-4s %10d", r.Bench, r.Profile, r.BlockCycles)
+		fmt.Fprintf(&b, "%-14s %-4s", r.Bench, r.Profile)
 		for i := range MSHRCounts {
 			fmt.Fprintf(&b, " %7d %6.2f", r.Cycles[i], r.BW[i])
 		}
 		b.WriteByte('\n')
 	}
-	b.WriteString("note: mshr1 is the blocking compatibility mode — its cycles must equal the block column\n")
-	b.WriteString("(the refactor's equivalence net). MLP and batch spans at the largest file:\n")
+	b.WriteString("MLP and batch spans at the largest file:\n")
 	last := len(MSHRCounts) - 1
 	for _, r := range rows {
-		fmt.Fprintf(&b, "  %-14s %-4s mshr%d: MLP %.2f, %.2f instructions/batch (blocking bw %.2f B/cyc)\n",
-			r.Bench, r.Profile, MSHRCounts[last], r.MLP[last], r.Span[last], r.BlockBW)
+		fmt.Fprintf(&b, "  %-14s %-4s mshr%d: MLP %.2f, %.2f instructions/batch\n",
+			r.Bench, r.Profile, MSHRCounts[last], r.MLP[last], r.Span[last])
 	}
 	return b.String()
 }

@@ -28,19 +28,10 @@ func TestMSHRSweepShape(t *testing.T) {
 			len(row.MLP) != len(MSHRCounts) || len(row.Span) != len(MSHRCounts) {
 			t.Fatalf("%s/%s: per-count columns missing", row.Bench, row.Profile)
 		}
-		if row.BlockCycles <= 0 {
-			t.Errorf("%s/%s: blocking cycles %d", row.Bench, row.Profile, row.BlockCycles)
-		}
 		for i, n := range MSHRCounts {
 			if row.Cycles[i] <= 0 {
 				t.Errorf("%s/%s/mshr%d: cycles %d", row.Bench, row.Profile, n, row.Cycles[i])
 			}
-		}
-		// The refactor's equivalence net, as seen by the sweep itself:
-		// the 1-entry file reproduces the blocking model exactly.
-		if MSHRCounts[0] == 1 && row.Cycles[0] != row.BlockCycles {
-			t.Errorf("%s/%s: mshr1 cycles %d != blocking %d",
-				row.Bench, row.Profile, row.Cycles[0], row.BlockCycles)
 		}
 	}
 	out := RenderMSHRSweep(rows)

@@ -18,8 +18,8 @@ import (
 )
 
 // SimKey identifies one simulation configuration. DRAM is the
-// main-memory backend spec ("" for the seed's flat latency, "fixed",
-// or "sdram/<mapping>/<scheduler>").
+// main-memory backend spec ("" or "fixed" for the flat 100-cycle
+// backend, or "sdram/<mapping>/<scheduler>").
 type SimKey struct {
 	Bench   string
 	Variant kernels.Variant
@@ -37,8 +37,8 @@ type SimResult struct {
 	ScalarL2 uint64
 	Activity uint64 // total L2 accesses (Table 4)
 	Trace    *trace.Stats
-	DRAM     dram.Stats         // zero-valued under the flat model
-	MSHR     vmem.MSHRStats     // zero-valued under the blocking model
+	DRAM     dram.Stats
+	MSHR     vmem.MSHRStats
 	PF       vmem.PrefetchStats // zero-valued with the prefetcher off
 
 	// Snap is the stats-registry snapshot of the run: every registered
@@ -72,8 +72,8 @@ type Runner struct {
 	Progress func(key SimKey)
 
 	// DRAMSpec is the main-memory backend every Sim call uses unless a
-	// caller overrides it with SimDRAM: "" (the seed's flat latency),
-	// "fixed", or "sdram/<mapping>/<scheduler>".
+	// caller overrides it with SimDRAM: "" or "fixed" (the flat
+	// 100-cycle backend), or "sdram/<mapping>/<scheduler>".
 	DRAMSpec string
 
 	// Engine selects the simulation engine for every run: the per-cycle
@@ -163,9 +163,9 @@ func (r *Runner) Sim(bench string, v kernels.Variant, mem core.MemKind, l2lat in
 	return r.SimDRAM(bench, v, mem, l2lat, r.DRAMSpec)
 }
 
-// flatMemLatency is the seed's main-memory latency beyond L2. The
-// "fixed" spec and the nil-backend Timing must use the same value or
-// `-dram fixed` stops being bit-identical to the seed model.
+// flatMemLatency is the seed's main-memory latency beyond L2: the
+// latency of the "fixed" spec, and of the dram.Fixed backend
+// core.NewMemSystem builds for the "" spec.
 const flatMemLatency = 100
 
 // buildBackend constructs a fresh backend from a spec string; each
@@ -219,18 +219,14 @@ func (r *Runner) SimDRAM(bench string, v kernels.Variant, mem core.MemKind, l2la
 		Activity: ms.L2Activity(),
 		Trace:    tp.st,
 	}
-	if backend != nil {
-		// Drain any posted writes so the copied statistics account for
-		// all traffic the run generated.
-		if sd, ok := backend.(*dram.SDRAM); ok {
-			sd.Flush()
-		}
-		res.DRAM = *backend.Stats()
+	// Drain any posted writes so the copied statistics account for all
+	// traffic the run generated.
+	if sd, ok := ms.DRAM().(*dram.SDRAM); ok {
+		sd.Flush()
 	}
-	if f := ms.MSHR(); f != nil {
-		res.MSHR = *f.Stats()
-		res.PF = f.PrefetchStats()
-	}
+	res.DRAM = *ms.DRAM().Stats()
+	res.MSHR = *ms.MSHR().Stats()
+	res.PF = ms.PrefetchStats()
 	reg := stats.NewRegistry()
 	st.Register(reg)
 	ms.Register(reg)

@@ -75,7 +75,7 @@ func New(o Options) *Group {
 		sims:  make([]*core.Sim, n),
 		stats: make([]*core.Stats, n),
 	}
-	if ta, ok := o.Tim.Backend.(dram.TenantAware); ok && n > 1 {
+	if ta, ok := g.mems[0].DRAM().(dram.TenantAware); ok && n > 1 {
 		ta.EnableTenantStats(n)
 	}
 	for i := range o.Traces {
@@ -186,9 +186,9 @@ func (g *Group) Mem(i int) *core.MemSystem { return g.mems[i] }
 func (g *Group) Stats(i int) *core.Stats { return g.stats[i] }
 
 // TenantStatsOf returns tenant i's backend stat shard, or nil when the
-// backend cannot shard (no backend, or a single-tenant group).
+// backend cannot shard or the group has a single tenant.
 func (g *Group) TenantStatsOf(i int) *dram.TenantStats {
-	ta, ok := g.mems[0].Tim.Backend.(dram.TenantAware)
+	ta, ok := g.mems[0].DRAM().(dram.TenantAware)
 	if !ok || g.N() < 2 {
 		return nil
 	}
@@ -268,18 +268,14 @@ func (g *Group) Register(reg *stats.Registry) {
 	if m0.L2 != nil {
 		reg.AddStruct("cache.l2", &m0.L2.Stats)
 	}
-	if f := m0.MSHR(); f != nil {
-		reg.AddStruct("vmem.mshr", f.Stats())
-		if pf := f.Prefetcher(); pf != nil {
-			reg.AddStruct("vmem.prefetch", pf.Stats())
-			// Useless is derived from the L2's eviction accounting at
-			// read time; sync it into the live struct on every snapshot.
-			reg.OnSnapshot(func() { m0.PrefetchStats() })
-		}
+	reg.AddStruct("vmem.mshr", m0.MSHR().Stats())
+	if pf := m0.Prefetcher(); pf != nil {
+		reg.AddStruct("vmem.prefetch", pf.Stats())
+		// Useless is derived from the L2's eviction accounting at read
+		// time; sync it into the live struct on every snapshot.
+		reg.OnSnapshot(func() { m0.PrefetchStats() })
 	}
-	if b := m0.DRAM(); b != nil {
-		reg.AddStruct("dram", b.Stats())
-	}
+	reg.AddStruct("dram", m0.DRAM().Stats())
 	if sp0 := m0.Tim.VA; sp0 != nil {
 		sp0.VM().RegisterShared(reg) // shared L2 TLB + walk counters
 	}

@@ -10,10 +10,10 @@ import (
 // pipeline: a file of miss-status holding registers (MSHRs) that
 // decouples instruction issue from memory completion.
 //
-// Under the blocking model every Issue call submitted its own miss
-// batch to the main memory and returned a final completion time, so
-// the controller only ever saw one instruction's parallelism. With an
-// MSHR file, Issue registers its line misses and returns immediately
+// Under the blocking model every Issue call submits its own miss batch
+// to the main memory and gets a final completion time, so the
+// controller only ever sees one instruction's parallelism. With two or
+// more MSHRs, Issue registers its line misses and returns immediately
 // with a Pending handle; the underlying dram.Backend.Submit happens
 // lazily, so one batch spans every instruction that issued since the
 // last flush — the inter-instruction memory parallelism the FR-FCFS
@@ -28,11 +28,10 @@ import (
 // consumer needing a completion time that the conservative lower bound
 // can no longer rule out, and the end-of-run drain.
 //
-// A file of size 1 runs in blocking mode: every Register flushes
-// immediately and returns an already-resolved handle, reproducing the
-// blocking model's Submit call sequence — and therefore its cycle
-// counts — bit for bit. That equivalence is the refactor's safety net
-// and is asserted over the full benchmark suite in internal/core.
+// A file of size 1 is the blocking model: every Register flushes
+// immediately and returns an already-resolved handle, so each
+// instruction's batch reaches the backend in one Submit call of its
+// own. The golden table in internal/core pins its cycle counts.
 
 // MSHRStats counts the file's activity. MLP and batch spans are the
 // headline metrics: how many line misses were outstanding when a new
@@ -152,18 +151,12 @@ type MSHRFile struct {
 	st MSHRStats
 }
 
-// NewMSHRFile builds a file of n MSHRs over the Timing's main memory
-// (its Backend, or the flat MemLatency model when Backend is nil).
+// NewMSHRFile builds a file of n MSHRs over the Timing's Backend.
 // n <= 1 selects blocking mode. The tim.MSHR field of the argument is
 // ignored; the file is the thing that field points at.
 func NewMSHRFile(tim Timing, n int) *MSHRFile {
 	tim.MSHR = nil
-	lineBytes := cache.L2LineBytes
-	minLat := tim.MemLatency
-	if tim.Backend != nil {
-		lineBytes = tim.Backend.LineBytes()
-		minLat = tim.Backend.MinReadLatency()
-	}
+	minLat := tim.Backend.MinReadLatency()
 	if minLat < 1 {
 		minLat = 1
 	}
@@ -174,7 +167,7 @@ func NewMSHRFile(tim Timing, n int) *MSHRFile {
 		tim:      tim,
 		cap:      n,
 		blocking: n <= 1,
-		lineMask: uint64(lineBytes - 1),
+		lineMask: uint64(tim.Backend.LineBytes() - 1),
 		minLat:   minLat,
 		byLine:   map[uint64]*mshrEntry{},
 		pendByID: map[uint64]*mshrEntry{},
@@ -208,8 +201,7 @@ func (f *MSHRFile) resolve(e *mshrEntry, done int64) {
 // cache the predicted lines fill into (via the normal allocate path,
 // dirty victims riding the pending batch as posted write-backs). Only
 // legal on a non-blocking file — a blocking file submits every batch
-// synchronously, so there is no pending batch for a prefetch to ride,
-// and the bit-exact blocking equivalence would be lost.
+// synchronously, so there is no pending batch for a prefetch to ride.
 func (f *MSHRFile) AttachPrefetcher(p *Prefetcher, l2 *cache.Cache) {
 	if f.blocking {
 		panic("vmem: the stream prefetcher rides the lazy MSHR batch; it needs a non-blocking file (>= 2 MSHRs)")
@@ -239,8 +231,8 @@ func (f *MSHRFile) PrefetchStats() PrefetchStats {
 // Cap is the file's MSHR count.
 func (f *MSHRFile) Cap() int { return f.cap }
 
-// Blocking reports whether the file runs in the bit-exact blocking
-// compatibility mode (a single MSHR).
+// Blocking reports whether the file is the blocking model (a single
+// MSHR).
 func (f *MSHRFile) Blocking() bool { return f.blocking }
 
 // Stats exposes the accumulated counters.
@@ -283,26 +275,13 @@ func (f *MSHRFile) flush() {
 	if f.span > f.st.SpanMax {
 		f.st.SpanMax = f.span
 	}
-	if f.tim.Backend != nil {
-		for _, c := range f.tim.Backend.Submit(f.pending) {
-			if c.Write {
-				continue
-			}
-			if e := f.pendByID[c.ID]; e != nil {
-				e.qosDelay = c.QoSDelay
-				f.resolve(e, c.Done)
-			}
+	for _, c := range f.tim.Backend.Submit(f.pending) {
+		if c.Write {
+			continue
 		}
-	} else {
-		// The seed's flat model: every read costs MemLatency, posted
-		// write-backs are free.
-		for _, r := range f.pending {
-			if r.Write {
-				continue
-			}
-			if e := f.pendByID[r.ID]; e != nil {
-				f.resolve(e, r.At+f.tim.MemLatency)
-			}
+		if e := f.pendByID[c.ID]; e != nil {
+			e.qosDelay = c.QoSDelay
+			f.resolve(e, c.Done)
 		}
 	}
 	f.pending = f.pending[:0]
@@ -395,9 +374,8 @@ func (f *MSHRFile) RegisterFor(tenant int, batch []dram.Request, pfTouch []PFTou
 	p := &Pending{file: f, base: occDone}
 	if f.blocking {
 		// Blocking mode files the whole instruction atomically, submits
-		// it at once and leaves nothing live between instructions —
-		// never merging, so the Submit call sequence is exactly the
-		// blocking model's.
+		// it at once and leaves nothing live between instructions, so
+		// it never merges: one Submit call per missing instruction.
 		for _, r := range batch {
 			if r.Write {
 				r.ID = dram.TagTenant(0, f.tenant)
@@ -615,8 +593,7 @@ func (f *MSHRFile) injectPrefetch(line uint64, at int64) {
 		}
 		return
 	}
-	if victim, dirty, _ := f.l2.PeekVictim(line); dirty &&
-		f.tim.Backend != nil && !f.tim.Backend.WriteRoom(victim) {
+	if victim, dirty, _ := f.l2.PeekVictim(line); dirty && !f.tim.Backend.WriteRoom(victim) {
 		f.pf.st.DroppedWQ++
 		if f.tr != nil {
 			f.tr.Emit(stats.Event{Cycle: at, Cat: "pf", Name: "drop_wq", Addr: line, Tenant: f.tenant})
@@ -630,7 +607,7 @@ func (f *MSHRFile) injectPrefetch(line uint64, at int64) {
 	f.byLine[line] = e
 	f.pending = append(f.pending, dram.Request{Addr: line, At: at, ID: e.id, Prefetch: true})
 	f.pendByID[e.id] = e
-	if res.Writeback && f.tim.Backend != nil {
+	if res.Writeback {
 		f.pending = append(f.pending, dram.Request{Addr: res.VictimAddr, Write: true, At: at,
 			ID: dram.TagTenant(0, f.tenant), Prefetch: true})
 		f.st.Writebacks++

@@ -47,43 +47,55 @@ func mshrTiming(b dram.Backend) Timing {
 	return Timing{L2Latency: 20, MemLatency: 100, Backend: b}
 }
 
-// TestBlockingModeMatchesSubmitMisses: a 1-entry file must reproduce
-// the blocking path's completion times and Submit call sequence
-// exactly — the equivalence net under every full-simulation check.
-func TestBlockingModeMatchesSubmitMisses(t *testing.T) {
+// blockingTiming wires a 1-entry MSHR file over b, the machine
+// core.NewMemSystem builds when MSHRs is 0 or 1.
+func blockingTiming(b dram.Backend) Timing {
+	tm := mshrTiming(b)
+	tm.MSHR = NewMSHRFile(tm, 1)
+	return tm
+}
+
+// TestBlockingModeMatchesFixed: a 1-entry file submits each
+// instruction's batch unchanged in one Submit call of its own, and its
+// completion is the latest read the Fixed backend returns for that
+// batch (or occDone when that is later); posted writes never gate.
+func TestBlockingModeMatchesFixed(t *testing.T) {
 	batches := [][]dram.Request{
 		{{Addr: 0x1000, At: 10}},
 		{{Addr: 0x2000, At: 40}, {Addr: 0x2080, At: 41}, {Addr: 0x9000, Write: true, At: 41}},
 		{{Addr: 0x1000, At: 300}}, // same line again: blocking re-submits
+		{{Addr: 0xa000, Write: true, At: 400}},
 	}
-	legacy := &countingBackend{}
 	filed := &countingBackend{}
-	tmLegacy := mshrTiming(legacy)
-	fileTim := mshrTiming(filed)
-	file := NewMSHRFile(fileTim, 1)
-	if !file.Blocking() {
+	fileTim := blockingTiming(filed)
+	if !fileTim.MSHR.Blocking() {
 		t.Fatal("a 1-entry file must run in blocking mode")
 	}
-	fileTim.MSHR = file
+	ref := dram.NewFixed(100)
 	for i, b := range batches {
-		want := tmLegacy.SubmitMisses(append([]dram.Request(nil), b...), 50)
+		want := int64(50)
+		for _, c := range ref.Submit(append([]dram.Request(nil), b...)) {
+			if !c.Write {
+				want = max(want, c.Done)
+			}
+		}
 		got, pend := fileTim.Complete(append([]dram.Request(nil), b...), nil, 50)
 		if pend != nil {
 			t.Fatalf("batch %d: blocking mode returned a live handle", i)
 		}
 		if got != want {
-			t.Fatalf("batch %d: blocking file done %d != SubmitMisses %d", i, got, want)
+			t.Fatalf("batch %d: blocking file done %d != fixed backend %d", i, got, want)
 		}
 	}
-	if len(filed.batches) != len(legacy.batches) {
-		t.Fatalf("Submit calls %d != legacy %d", len(filed.batches), len(legacy.batches))
+	if len(filed.batches) != len(batches) {
+		t.Fatalf("Submit calls %d != %d instructions", len(filed.batches), len(batches))
 	}
 	for i := range filed.batches {
-		if len(filed.batches[i]) != len(legacy.batches[i]) {
-			t.Fatalf("batch %d sizes differ: %d vs %d", i, len(filed.batches[i]), len(legacy.batches[i]))
+		if len(filed.batches[i]) != len(batches[i]) {
+			t.Fatalf("batch %d sizes differ: %d vs %d", i, len(filed.batches[i]), len(batches[i]))
 		}
 		for j := range filed.batches[i] {
-			a, b := filed.batches[i][j], legacy.batches[i][j]
+			a, b := filed.batches[i][j], batches[i][j]
 			if a.Addr != b.Addr || a.Write != b.Write || a.At != b.At {
 				t.Fatalf("batch %d request %d differs: %+v vs %+v", i, j, a, b)
 			}
@@ -212,13 +224,17 @@ func TestWritebackRidesPendingBatch(t *testing.T) {
 	}
 }
 
-// TestMSHRFileFlatModel: with no backend the file runs over the seed's
-// flat MemLatency, matching SubmitMisses.
+// TestMSHRFileFlatModel: the seed's flat main memory is the Fixed
+// backend; a non-blocking file over it resolves a read MemLatency
+// cycles after its arrival, and the lower bound it polls against is
+// that latency.
 func TestMSHRFileFlatModel(t *testing.T) {
-	tim := Timing{L2Latency: 20, MemLatency: 100}
-	f := NewMSHRFile(tim, 4)
+	f := NewMSHRFile(mshrTiming(dram.NewFixed(100)), 4)
 	p := f.Register([]dram.Request{{Addr: 0x1000, At: 30}}, nil, 50)
-	if got, want := p.Done(), tim.SubmitMisses([]dram.Request{{Addr: 0x1000, At: 30}}, 50); got != want {
-		t.Fatalf("flat-model done = %d, want %d", got, want)
+	if lb, exact := p.Bound(); lb != 130 || exact {
+		t.Fatalf("bound = %d (exact %v), want the inexact 130", lb, exact)
+	}
+	if got := p.Done(); got != 130 {
+		t.Fatalf("flat-model done = %d, want 130", got)
 	}
 }

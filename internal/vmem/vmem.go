@@ -11,10 +11,10 @@
 // instruction's port/bank occupancy and cache hits finish plus a
 // Pending handle for any outstanding line misses, which register in the
 // shared MSHR file (mshr.go) so main-memory batches span several
-// in-flight instructions. Without an MSHR file the subsystems fall back
-// to the blocking model and Issue's cycle is final. Resource state
-// persists across instructions, so back-to-back vector memory
-// operations contend realistically.
+// in-flight instructions. A 1-entry file is the blocking model: it
+// submits each instruction's batch at once and Issue's cycle is final.
+// Resource state persists across instructions, so back-to-back vector
+// memory operations contend realistically.
 package vmem
 
 import (
@@ -26,29 +26,29 @@ import (
 
 // Timing holds the memory latencies the subsystems compose.
 type Timing struct {
-	L2Latency  int64 // L2 access latency (20 in the base system)
-	MemLatency int64 // additional main-memory latency on an L2 miss
+	L2Latency int64 // L2 access latency (20 in the base system)
 
-	// Backend, when non-nil, models the main memory behind the L2 and
-	// replaces the flat MemLatency: every L2 miss becomes a dram
-	// request whose completion depends on row-buffer and bank state.
+	// MemLatency is the flat main-memory latency beyond the L2 that
+	// core.NewMemSystem gives the dram.Fixed backend it builds when
+	// Backend is nil — the paper's base system.
+	MemLatency int64
+
+	// Backend models the main memory behind the L2: every L2 miss
+	// becomes a dram request whose completion the backend decides.
 	// The subsystems collect one instruction's misses into a batch and
 	// Submit them together, so the controller sees the instruction's
 	// whole memory parallelism at once.
 	Backend dram.Backend
 
-	// MSHRs requests a non-blocking miss pipeline: core.NewMemSystem
-	// builds an MSHR file of this size and wires it into MSHR. 0 keeps
-	// the legacy blocking path (no file at all); 1 routes through the
-	// file in its bit-exact blocking mode — the equivalence net; >= 2
-	// decouples issue from completion.
+	// MSHRs sizes the miss pipeline: core.NewMemSystem builds an MSHR
+	// file of max(MSHRs, 1) entries and wires it into MSHR. 0 and 1
+	// are the same machine, the blocking model; >= 2 decouples issue
+	// from completion.
 	MSHRs int
 
 	// MSHR is the miss-status holding register file shared by the
-	// vector subsystems and the scalar miss path. When nil, every
-	// instruction's batch is submitted synchronously (the blocking
-	// model); when set, batches register in the file and completion is
-	// read off the returned Pending handles.
+	// vector subsystems and the scalar miss path: batches register in
+	// it and completion is read off the returned Pending handles.
 	MSHR *MSHRFile
 
 	// PFStreams/PFDegree size the stream prefetcher
@@ -90,70 +90,14 @@ func (tm Timing) Xl(a uint64) uint64 {
 // DefaultTiming is the paper's base system (§5.3) over a 100-cycle DRAM.
 func DefaultTiming() Timing { return Timing{L2Latency: 20, MemLatency: 100} }
 
-// MissDone returns the completion cycle of the main-memory access for
-// the line containing addr whose L2 miss is detected at cycle t — the
-// one-request-at-a-time compatibility adapter over the batch API. With
-// no Backend it reproduces the seed's flat model exactly: t+MemLatency.
-func (tm Timing) MissDone(addr uint64, t int64) int64 {
-	if tm.Backend != nil {
-		return dram.Access(tm.Backend, addr, t)
-	}
-	return t + tm.MemLatency
-}
-
-// SubmitMisses presents one instruction's collected misses (and any
-// dirty-victim write-backs) to the main memory as a single batch and
-// returns the latest read completion, or t0 when every request was a
-// posted write. With no Backend each read costs the flat MemLatency;
-// posted write-backs are free, matching the seed model where they were
-// not represented at all.
-func (tm Timing) SubmitMisses(batch []dram.Request, t0 int64) int64 {
-	done := t0
-	if len(batch) == 0 {
-		return done
-	}
-	if tm.Tenant > 0 {
-		// Blocking path of a shared backend: the subsystems build their
-		// batches with zero IDs (no MSHR entries to route back to), so
-		// the requestor tag is stamped here for the backend's per-tenant
-		// accounting and QoS scheduling.
-		for i := range batch {
-			batch[i].ID = dram.TagTenant(batch[i].ID, tm.Tenant)
-		}
-	}
-	if tm.Backend == nil {
-		for _, r := range batch {
-			if !r.Write {
-				if d := r.At + tm.MemLatency; d > done {
-					done = d
-				}
-			}
-		}
-		return done
-	}
-	for _, c := range tm.Backend.Submit(batch) {
-		// Posted writes never gate instruction completion: the queue
-		// absorbs them and drains behind later traffic.
-		if !c.Write && c.Done > done {
-			done = c.Done
-		}
-	}
-	return done
-}
-
-// Complete finishes one instruction's miss batch under the configured
-// miss pipeline: with no MSHR file the batch is submitted synchronously
-// and the final completion returned (the blocking model); with a file
-// the batch registers and the caller receives a Pending handle — nil
-// when the completion is already final (blocking-mode file, or nothing
+// Complete finishes one instruction's miss batch in the MSHR file: the
+// batch registers and the caller receives a Pending handle — nil when
+// the completion is already final (a blocking 1-entry file, or nothing
 // missed). pfTouch lists the instruction's demand touches of
-// prefetched L2 lines (always empty without a prefetcher, which also
-// requires the file). occDone is the completion of the instruction's
-// port/bank occupancy and cache hits.
+// prefetched L2 lines (always empty without a prefetcher). occDone is
+// the completion of the instruction's port/bank occupancy and cache
+// hits.
 func (tm Timing) Complete(batch []dram.Request, pfTouch []PFTouch, occDone int64) (int64, *Pending) {
-	if tm.MSHR == nil {
-		return tm.SubmitMisses(batch, occDone), nil
-	}
 	if len(batch) == 0 && len(pfTouch) == 0 {
 		return occDone, nil
 	}
@@ -305,7 +249,7 @@ func (m *MultiBanked) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 			if res.Prefetched {
 				m.pfBuf = append(m.pfBuf, PFTouch{Line: m.l2.LineAddr(addr), At: ct})
 			}
-			if res.Writeback && m.tim.Backend != nil {
+			if res.Writeback {
 				m.batch = append(m.batch, dram.Request{Addr: res.VictimAddr, Write: true, At: ct})
 			}
 			if ct > done {
@@ -384,10 +328,8 @@ func (v *VectorCache) Issue(in *isa.Inst, t0 int64) (int64, *Pending) {
 				v.batch = append(v.batch, dram.Request{Addr: a, At: ct})
 			}
 		}
-		if v.tim.Backend != nil {
-			for _, a := range v.wbBuf {
-				v.batch = append(v.batch, dram.Request{Addr: a, Write: true, At: ct})
-			}
+		for _, a := range v.wbBuf {
+			v.batch = append(v.batch, dram.Request{Addr: a, Write: true, At: ct})
 		}
 		if ct > done {
 			done = ct

@@ -10,7 +10,7 @@ import (
 
 func l2() *cache.Cache { return cache.New(cache.L2Config(20)) }
 
-func tim() Timing { return Timing{L2Latency: 20, MemLatency: 100} }
+func tim() Timing { return blockingTiming(dram.NewFixed(100)) }
 
 func momLoad(addr uint64, vl int, stride int64) *isa.Inst {
 	return &isa.Inst{Op: isa.OpVLoad, Kind: isa.KindMOMMem, Addr: addr, VL: vl, Stride: stride}
@@ -175,24 +175,20 @@ func TestExclusiveBitInvalidatesL1(t *testing.T) {
 	}
 }
 
-// TestMissDoneMatchesSubmit: the one-request compatibility adapter must
-// agree with a single-read batch through Submit, with and without a
-// backend (the bit-exact seed path).
-func TestMissDoneMatchesSubmit(t *testing.T) {
-	flat := Timing{L2Latency: 20, MemLatency: 100}
-	if got := flat.MissDone(0x1000, 40); got != 140 {
-		t.Fatalf("flat MissDone = %d, want 140", got)
+// TestSingleMissMatchesFixedAccess: one read through the blocking
+// file completes when the Fixed backend's one-request adapter says it
+// does, and reaches the backend as exactly one read.
+func TestSingleMissMatchesFixedAccess(t *testing.T) {
+	if got := dram.Access(dram.NewFixed(100), 0x1000, 40); got != 140 {
+		t.Fatalf("fixed Access = %d, want 140", got)
 	}
-	if got := flat.SubmitMisses([]dram.Request{{Addr: 0x1000, At: 40}}, 40); got != 140 {
-		t.Fatalf("flat SubmitMisses = %d, want 140", got)
+	b := dram.NewFixed(100)
+	got, pend := blockingTiming(b).Complete([]dram.Request{{Addr: 0x1000, At: 40}}, nil, 40)
+	if pend != nil || got != 140 {
+		t.Fatalf("blocking file done = %d (handle %v), want the final 140", got, pend)
 	}
-
-	a, b := dram.NewFixed(100), dram.NewFixed(100)
-	viaMiss := Timing{L2Latency: 20, MemLatency: 100, Backend: a}.MissDone(0x1000, 40)
-	viaSubmit := Timing{L2Latency: 20, MemLatency: 100, Backend: b}.
-		SubmitMisses([]dram.Request{{Addr: 0x1000, At: 40}}, 40)
-	if viaMiss != viaSubmit {
-		t.Fatalf("MissDone %d != SubmitMisses %d", viaMiss, viaSubmit)
+	if st := b.Stats(); st.Accesses != 1 || st.Writes != 0 {
+		t.Fatalf("backend saw %d accesses (%d writes), want one read", st.Accesses, st.Writes)
 	}
 }
 
@@ -215,7 +211,7 @@ func (r *recordingBackend) Submit(batch []dram.Request) []dram.Completion {
 	r.batches = append(r.batches, cp)
 	r.comps = r.comps[:0]
 	for _, q := range batch {
-		r.comps = append(r.comps, dram.Completion{Addr: q.Addr, Write: q.Write, At: q.At, Done: q.At + 100})
+		r.comps = append(r.comps, dram.Completion{Addr: q.Addr, Write: q.Write, At: q.At, Done: q.At + 100, ID: q.ID})
 	}
 	return r.comps
 }
@@ -225,7 +221,7 @@ func (r *recordingBackend) Submit(batch []dram.Request) []dram.Completion {
 // instruction's whole memory parallelism at once.
 func TestInstructionMissesFormOneBatch(t *testing.T) {
 	rb := &recordingBackend{}
-	v := NewVectorCache(l2(), nil, Timing{L2Latency: 20, MemLatency: 100, Backend: rb}, 4, false)
+	v := NewVectorCache(l2(), nil, blockingTiming(rb), 4, false)
 	// 32 consecutive words from a cold cache: two 128-byte lines miss.
 	done, _ := v.Issue(momLoad(0, 32, 8), 0)
 	if len(rb.batches) != 1 {
@@ -257,7 +253,7 @@ func TestInstructionMissesFormOneBatch(t *testing.T) {
 // multi-banked subsystem.
 func TestMultiBankedMissesFormOneBatch(t *testing.T) {
 	rb := &recordingBackend{}
-	m := NewMultiBanked(l2(), nil, Timing{L2Latency: 20, MemLatency: 100, Backend: rb}, 4, 8)
+	m := NewMultiBanked(l2(), nil, blockingTiming(rb), 4, 8)
 	m.Issue(momLoad(0, 8, 64), 0) // stride 64B: 4 lines touched, all cold
 	if len(rb.batches) != 1 {
 		t.Fatalf("Submit calls = %d, want 1 per instruction", len(rb.batches))
@@ -274,7 +270,7 @@ func TestDirtyVictimWritebackRidesBatch(t *testing.T) {
 	l2c := cache.New(cache.Config{Name: "L2", Size: 4 * cache.L2LineBytes,
 		LineSize: cache.L2LineBytes, Ways: 1, WriteBack: true, Latency: 20})
 	rb := &recordingBackend{}
-	v := NewVectorCache(l2c, nil, Timing{L2Latency: 20, MemLatency: 100, Backend: rb}, 4, false)
+	v := NewVectorCache(l2c, nil, blockingTiming(rb), 4, false)
 
 	// Dirty a line, then force its eviction with a conflicting fill
 	// (direct-mapped: same set every 4 lines).
