@@ -175,9 +175,12 @@ func NewTenantMemSystems(kind MemKind, tim vmem.Timing, lanes int, bankL1 bool, 
 
 // NewVM builds the address-translation layer for n requestors: the
 // default 4-level/4 KiB configuration under the named placement policy
-// ("first", "color" or "colo"), colored by the backend's channel
-// decode when it exposes one (the SDRAM controller does; the flat
-// backend degrades coloring to first-fit).
+// ("first", "color" or "colo"), colored by the channel of each page's
+// first line when the backend exposes its channel field (the SDRAM
+// controller does; the flat backend degrades coloring to first-fit).
+// A page lies wholly on that channel only where the field sits at or
+// above the 4 KiB page offset — not under hbm's bank mapping, whose
+// 2 KiB rows put it at bit 11.
 func NewVM(policy string, n int, backend dram.Backend) (*vm.VM, error) {
 	pol, err := vm.ParsePolicy(policy)
 	if err != nil {
@@ -189,7 +192,7 @@ func NewVM(policy string, n int, backend dram.Backend) (*vm.VM, error) {
 	if sd, ok := backend.(vm.ChannelMapper); ok {
 		cm = sd
 	}
-	return vm.New(cfg, n, cm), nil
+	return vm.New(cfg, n, cm)
 }
 
 // ScalarAccess schedules one scalar or μSIMD memory access issued at

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/dram"
 	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/trace"
@@ -146,5 +147,28 @@ func TestForwardingCounted(t *testing.T) {
 	st := Simulate(MOMCore(), NewMemSystem(MemVectorCache, vmem.DefaultTiming(), 4, false), tr.Insts)
 	if st.Forwarded == 0 {
 		t.Error("expected store-to-load forwarding in the DCT pipeline")
+	}
+}
+
+// badFieldSDRAM claims a channel field one bit above the decode its
+// ChannelOf performs.
+type badFieldSDRAM struct{ *dram.SDRAM }
+
+func (b badFieldSDRAM) ChannelShift() uint { return b.SDRAM.ChannelShift() + 1 }
+
+// TestNewVMReportsMapperErrors: NewVM returns vm.New's errors instead
+// of building a VM that colors by the wrong bits.
+func TestNewVMReportsMapperErrors(t *testing.T) {
+	cfg := dram.PresetHBM.Config()
+	cfg.Mapping = dram.MapBank
+	sd := dram.NewSDRAM(cfg)
+	if _, err := NewVM("color", 4, sd); err != nil {
+		t.Fatalf("NewVM rejected the real hbm/bank part: %v", err)
+	}
+	if v, err := NewVM("color", 4, badFieldSDRAM{sd}); err == nil || v != nil {
+		t.Fatalf("NewVM = %v, %v; want the channel-field cross-check error", v, err)
+	}
+	if _, err := NewVM("bogus", 1, sd); err == nil {
+		t.Fatal("NewVM accepted an unknown placement policy")
 	}
 }

@@ -369,10 +369,11 @@ func (s *SDRAM) WriteRoom(addr uint64) bool {
 func (s *SDRAM) Config() Config { return s.cfg }
 
 // ChannelOf exposes the channel a physical address decodes to under
-// the configured mapping; ChannelCount is the part's channel count.
-// Together they satisfy vm.ChannelMapper, letting the page-placement
-// policies color pages by the channel bits without the vm package
-// depending on this one.
+// the configured mapping; ChannelCount is the part's channel count and
+// ChannelShift the lowest bit of the channel field. Together they
+// satisfy vm.ChannelMapper, letting the page-placement policies color
+// pages by the channel bits without the vm package depending on this
+// one.
 func (s *SDRAM) ChannelOf(addr uint64) int {
 	ch, _, _ := s.decode(addr)
 	return ch
@@ -380,6 +381,20 @@ func (s *SDRAM) ChannelOf(addr uint64) int {
 
 // ChannelCount reports the number of independent channels.
 func (s *SDRAM) ChannelCount() int { return s.cfg.Channels }
+
+// ChannelShift reports where decode reads the channel field: every
+// mapping takes channel = (addr >> ChannelShift()) & (Channels-1),
+// above the line offset (line), the row's columns (bank) or the
+// columns and the bounded row field (row).
+func (s *SDRAM) ChannelShift() uint {
+	switch s.cfg.Mapping {
+	case MapBank:
+		return s.lineShift + s.colBits
+	case MapRow:
+		return s.lineShift + s.colBits + s.rowBits
+	}
+	return s.lineShift
+}
 
 // SetTracer implements Traceable.
 func (s *SDRAM) SetTracer(t *stats.Tracer) { s.tr = t }

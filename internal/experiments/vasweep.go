@@ -21,10 +21,12 @@ var VAPolicies = []struct {
 }
 
 // vaBaseSpec is the backend the placement sweep contends on. Unlike
-// the interference sweep's line interleaving, the bank mapping puts
-// the channel-select bits ABOVE the 4 KiB page offset, so each page
-// maps wholly to one channel and the allocator's placement decisions
-// are visible to the controller at all.
+// the interference sweep's line interleaving, the bank mapping of this
+// ddr part (8 KiB rows) puts the channel-select bits ABOVE the 4 KiB
+// page offset, so each page maps wholly to one channel and the
+// allocator's placement decisions are visible to the controller at
+// all. (hbm's 2 KiB rows would not: its bank-mapped field starts at
+// bit 11, inside a page.)
 const vaBaseSpec = "sdram/bank/frfcfs"
 
 // vaSpec composes the sweep's backend spec: the banked part, a tenant

@@ -11,9 +11,9 @@ import (
 // wins), splitting walks down the orders, and freeing merges buddy
 // pairs back up. The placement policies need more than "give me any
 // page": AllocPageAt claims one specific free page (splitting whatever
-// block contains it), and FindPage scans the free lists for the lowest
-// free page satisfying a predicate — how page coloring asks for "the
-// lowest free page on channel c".
+// block contains it), and FindPage asks each free block for its lowest
+// qualifying page — how page coloring asks for "the lowest free page
+// on channel c" without decoding every free page.
 type Buddy struct {
 	npages   uint64
 	maxOrder int
@@ -22,8 +22,8 @@ type Buddy struct {
 
 // NewBuddy builds an allocator over npages pages (a power of two).
 func NewBuddy(npages uint64) *Buddy {
-	if npages == 0 || npages&(npages-1) != 0 {
-		panic(fmt.Sprintf("vm: buddy pool size %d is not a power of two", npages))
+	if err := poolSizeErr(npages); err != nil {
+		panic(err)
 	}
 	order := 0
 	for uint64(1)<<order < npages {
@@ -32,6 +32,13 @@ func NewBuddy(npages uint64) *Buddy {
 	b := &Buddy{npages: npages, maxOrder: order, free: make([][]uint64, order+1)}
 	b.free[order] = []uint64{0}
 	return b
+}
+
+func poolSizeErr(npages uint64) error {
+	if npages == 0 || npages&(npages-1) != 0 {
+		return fmt.Errorf("vm: buddy pool size %d is not a power of two", npages)
+	}
+	return nil
 }
 
 // insert adds a free block, keeping the order's list sorted.
@@ -115,23 +122,21 @@ func (b *Buddy) AllocPageAt(idx uint64) bool {
 	return false
 }
 
-// FindPage returns the lowest free page whose index satisfies pred.
-func (b *Buddy) FindPage(pred func(idx uint64) bool) (uint64, bool) {
+// FindPage returns the lowest free page a range query accepts. first
+// answers for one free block [lo, hi): the lowest qualifying page in
+// it, or false. Free blocks are disjoint and each order's list is
+// sorted, so an answer from a block starting below the best so far is
+// the new best, and the blocks after it are skipped: the search costs
+// at most one query per free block and never visits a page.
+func (b *Buddy) FindPage(first func(lo, hi uint64) (uint64, bool)) (uint64, bool) {
 	best, found := uint64(0), false
 	for o := 0; o <= b.maxOrder; o++ {
 		for _, start := range b.free[o] {
 			if found && start >= best {
 				break // the list is sorted; nothing lower remains
 			}
-			size := uint64(1) << o
-			for p := start; p < start+size; p++ {
-				if found && p >= best {
-					break
-				}
-				if pred(p) {
-					best, found = p, true
-					break
-				}
+			if p, ok := first(start, start+uint64(1)<<o); ok {
+				best, found = p, true
 			}
 		}
 	}

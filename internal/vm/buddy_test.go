@@ -91,12 +91,13 @@ func TestBuddyFindPage(t *testing.T) {
 			t.Fatalf("AllocPageAt(%d) failed", i)
 		}
 	}
-	idx, ok := b.FindPage(func(i uint64) bool { return i%2 == 1 })
+	odd := func(lo, hi uint64) (uint64, bool) { p := lo | 1; return p, p < hi }
+	idx, ok := b.FindPage(odd)
 	if !ok || idx != 5 {
 		t.Fatalf("FindPage(odd) = %d,%v, want 5", idx, ok)
 	}
-	if _, ok := b.FindPage(func(i uint64) bool { return i >= 16 }); ok {
-		t.Fatal("FindPage matched an impossible predicate")
+	if _, ok := b.FindPage(func(lo, hi uint64) (uint64, bool) { return hi, false }); ok {
+		t.Fatal("FindPage matched an impossible query")
 	}
 }
 

@@ -23,10 +23,20 @@ type ptNode struct {
 
 // NewPageTable builds an empty table of the given depth and radix.
 func NewPageTable(levels int, bitsPerLevel uint) *PageTable {
-	if levels < 1 || bitsPerLevel < 1 || uint(levels)*bitsPerLevel > 52 {
-		panic(fmt.Sprintf("vm: unusable page-table shape %d levels x %d bits", levels, bitsPerLevel))
+	if err := pageTableShapeErr(levels, bitsPerLevel); err != nil {
+		panic(err)
 	}
 	return &PageTable{levels: levels, bits: bitsPerLevel, root: &ptNode{}}
+}
+
+// pageTableShapeErr rejects a table with no levels, no radix bits, or
+// more than 52 VPN bits (the shared L2 TLB folds the tenant in above
+// bit 52).
+func pageTableShapeErr(levels int, bitsPerLevel uint) error {
+	if levels < 1 || bitsPerLevel < 1 || uint(levels)*bitsPerLevel > 52 {
+		return fmt.Errorf("vm: unusable page-table shape %d levels x %d bits", levels, bitsPerLevel)
+	}
+	return nil
 }
 
 // VPNBits is the number of virtual-page-number bits the table resolves.

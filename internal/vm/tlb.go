@@ -1,5 +1,7 @@
 package vm
 
+import "fmt"
+
 // TLB is a set-associative translation buffer with true-LRU
 // replacement inside each set. Tags are opaque: the private L1 TLBs
 // tag by virtual page number alone, the shared L2 TLB folds the tenant
@@ -22,10 +24,17 @@ type tlbEntry struct {
 
 // NewTLB builds a sets × ways TLB; sets must be a power of two.
 func NewTLB(sets, ways int) *TLB {
-	if sets < 1 || sets&(sets-1) != 0 || ways < 1 {
-		panic("vm: TLB geometry must be power-of-two sets x ways >= 1")
+	if err := tlbGeometryErr(sets, ways); err != nil {
+		panic(err)
 	}
 	return &TLB{sets: sets, ways: ways, ent: make([]tlbEntry, sets*ways)}
+}
+
+func tlbGeometryErr(sets, ways int) error {
+	if sets < 1 || sets&(sets-1) != 0 || ways < 1 {
+		return fmt.Errorf("vm: TLB geometry %d sets x %d ways, want power-of-two sets x ways >= 1", sets, ways)
+	}
+	return nil
 }
 
 func (t *TLB) set(tag uint64) []tlbEntry {

@@ -24,6 +24,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/stats"
@@ -36,8 +37,10 @@ const (
 	// PolicyFirstFit takes the lowest free physical page.
 	PolicyFirstFit Policy = iota
 	// PolicyColor spreads each space's pages round-robin across DRAM
-	// channels: page k goes to the lowest free page on channel
-	// (tenant+k) mod channels, so no tenant camps on one channel.
+	// channels: page k goes to the lowest free page whose first line is
+	// on channel (tenant+k) mod channels, so no tenant camps on one
+	// channel. A turn whose channel no free page has falls back to
+	// first-fit.
 	PolicyColor
 	// PolicyColocate keeps each space's pages physically contiguous
 	// (preferring last+1), maximizing row-buffer locality for
@@ -69,11 +72,16 @@ func (p Policy) String() string {
 }
 
 // ChannelMapper exposes a DRAM part's address-to-channel decode to the
-// coloring policy. dram.SDRAM satisfies it; a nil mapper (the flat
-// backend) degrades coloring to first-fit.
+// placement policies. dram.SDRAM satisfies it; a nil mapper (the flat
+// backend) degrades coloring to first-fit. ChannelOf is the defining
+// decode; ChannelShift names the field it reads: every mapping must
+// decode channel = (addr >> ChannelShift()) & (ChannelCount()-1),
+// which New cross-checks against ChannelOf. Placement works from the
+// field alone, so it never decodes a page to find one.
 type ChannelMapper interface {
 	ChannelOf(addr uint64) int
 	ChannelCount() int
+	ChannelShift() uint
 }
 
 // Config shapes the translation machinery.
@@ -134,28 +142,28 @@ type SpaceStats struct {
 }
 
 // VM owns the machinery shared by every address space: the L2 TLB, the
-// physical-page allocator and the channel geometry the coloring policy
+// physical-page allocator and the channel field the coloring policy
 // colors by.
 type VM struct {
-	cfg    Config
-	l2     *TLB
-	buddy  *Buddy
-	spaces []*Space
-	nchan  int
-	chanOf func(addr uint64) int
-	st     TLBStats
-	wst    WalkStats
-	tr     *stats.Tracer
+	cfg       Config
+	l2        *TLB
+	buddy     *Buddy
+	spaces    []*Space
+	nchan     int
+	chanShift uint // lowest address bit of the channel field
+	chanBits  uint // log2(nchan)
+	st        TLBStats
+	wst       WalkStats
+	tr        *stats.Tracer
 }
 
-// New builds a VM with n spaces. cm supplies the DRAM channel decode
-// for PolicyColor; nil degrades coloring to first-fit.
-func New(cfg Config, n int, cm ChannelMapper) *VM {
-	if cfg.PageBits == 0 {
-		panic("vm: zero page size")
-	}
-	if uint(cfg.Levels)*cfg.BitsPerLevel+cfg.PageBits > 63 {
-		panic("vm: virtual address wider than 63 bits")
+// New builds a VM with n spaces. cm supplies the DRAM channel field
+// for PolicyColor; nil degrades coloring to first-fit. An unusable
+// configuration, or a mapper whose field disagrees with its own
+// ChannelOf, is an error.
+func New(cfg Config, n int, cm ChannelMapper) (*VM, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 	v := &VM{
 		cfg:   cfg,
@@ -165,8 +173,9 @@ func New(cfg Config, n int, cm ChannelMapper) *VM {
 	}
 	v.wst.Latency = stats.NewHistogram()
 	if cm != nil && cm.ChannelCount() > 1 {
-		v.nchan = cm.ChannelCount()
-		v.chanOf = cm.ChannelOf
+		if err := v.setChannels(cm); err != nil {
+			return nil, err
+		}
 	}
 	for i := 0; i < n; i++ {
 		v.spaces = append(v.spaces, &Space{
@@ -179,7 +188,61 @@ func New(cfg Config, n int, cm ChannelMapper) *VM {
 			nextColor: i % v.nchan,
 		})
 	}
-	return v
+	return v, nil
+}
+
+// validate rejects every configuration New's parts cannot be built
+// from, so none of their constructors can panic.
+func (cfg Config) validate() error {
+	if cfg.PageBits == 0 {
+		return fmt.Errorf("vm: zero page size")
+	}
+	if err := pageTableShapeErr(cfg.Levels, cfg.BitsPerLevel); err != nil {
+		return err
+	}
+	if uint(cfg.Levels)*cfg.BitsPerLevel+cfg.PageBits > 63 {
+		return fmt.Errorf("vm: virtual address wider than 63 bits (%d levels x %d bits + %d-bit pages)",
+			cfg.Levels, cfg.BitsPerLevel, cfg.PageBits)
+	}
+	if err := poolSizeErr(cfg.PhysPages); err != nil {
+		return err
+	}
+	if err := tlbGeometryErr(cfg.L1Sets, cfg.L1Ways); err != nil {
+		return fmt.Errorf("%w (L1)", err)
+	}
+	if err := tlbGeometryErr(cfg.L2Sets, cfg.L2Ways); err != nil {
+		return fmt.Errorf("%w (L2)", err)
+	}
+	return nil
+}
+
+// channelProbeMix fills the address bits around the channel field in
+// New's cross-check probes, a different pattern per probe, so a decode
+// that reads bits outside the claimed field shows up.
+const channelProbeMix = 0x9e3779b97f4a7c15
+
+// setChannels adopts cm's channel field after checking it against
+// ChannelOf: one probe per channel, channel c in the field and mixed
+// bits everywhere else.
+func (v *VM) setChannels(cm ChannelMapper) error {
+	n, shift := cm.ChannelCount(), cm.ChannelShift()
+	if n&(n-1) != 0 {
+		return fmt.Errorf("vm: channel count %d is not a power of two", n)
+	}
+	width := uint(bits.TrailingZeros(uint(n)))
+	if shift+width > 64 {
+		return fmt.Errorf("vm: channel field at bit %d (%d bits) does not fit a 64-bit address", shift, width)
+	}
+	field := uint64(n-1) << shift
+	for c := 0; c < n; c++ {
+		addr := uint64(c)<<shift | (uint64(c+1)*channelProbeMix)>>16&^field
+		if got := cm.ChannelOf(addr); got != c {
+			return fmt.Errorf("vm: channel field (bit %d, %d channels) says %#x is on channel %d, ChannelOf says %d",
+				shift, n, addr, c, got)
+		}
+	}
+	v.nchan, v.chanShift, v.chanBits = n, shift, width
+	return nil
 }
 
 // N is the space count.
@@ -210,16 +273,56 @@ func (v *VM) RegisterShared(reg *stats.Registry) {
 	reg.AddStruct("vm.walk", &v.wst)
 }
 
-// pageChannel is the DRAM channel a physical page decodes to. With
-// channel bits above the page offset (the bank mapping) a page lives
-// wholly on one channel and coloring is meaningful; under line
-// interleaving every page touches every channel and the policy
-// degrades gracefully (channel of the page's first line).
+// pageChannel is the DRAM channel a physical page's first line decodes
+// to, the channel coloring colors by. Only where the channel field lies
+// at or above the page offset does a page live wholly on one channel:
+// ddr's bank mapping (8 KiB rows put the field at bit 13) and every row
+// mapping. HBM's 2 KiB rows put the bank-mapped field at bit 11, inside
+// a 4 KiB page, so each page spans two channels and only the even ones
+// are ever a first-line channel; under line interleaving a page spans
+// every channel and every first line is on the same one.
 func (v *VM) pageChannel(idx uint64) int {
-	if v.chanOf == nil {
-		return 0
+	return int(((v.cfg.PhysBase + idx<<v.cfg.PageBits) >> v.chanShift) & uint64(v.nchan-1))
+}
+
+// firstOnChannel answers, in closed form, the range query coloring
+// hands Buddy.FindPage: the lowest page in [lo, hi) whose first line
+// is on channel c. With page index idx the field reads
+//
+//	field at or above the page offset (s = shift - PageBits):
+//	  channel = ((PhysBase>>PageBits + idx) >> s) & mask
+//	  — runs of 2^s pages per channel, repeating every 2^s × channels;
+//	field below the page offset (t = PageBits - shift):
+//	  channel = (PhysBase>>shift + idx<<t) & mask
+//	  — only channels ≡ PhysBase>>shift (mod 2^t) occur, each on every
+//	  2^(log2(channels)-t)-th page (every page, one channel, once t
+//	  covers the field).
+func (v *VM) firstOnChannel(c int, lo, hi uint64) (uint64, bool) {
+	pb, mask := v.cfg.PageBits, uint64(v.nchan-1)
+	if v.chanShift >= pb {
+		s := v.chanShift - pb
+		base := v.cfg.PhysBase >> pb
+		x := base + lo
+		run := uint64(1) << s
+		period := run << v.chanBits
+		start := x&^(period-1) + uint64(c)<<s
+		if x >= start+run {
+			start += period
+		}
+		if start < x {
+			start = x
+		}
+		p := start - base
+		return p, p < hi
 	}
-	return v.chanOf(v.cfg.PhysBase + idx<<v.cfg.PageBits)
+	t := min(pb-v.chanShift, v.chanBits)
+	d := (uint64(c) - v.cfg.PhysBase>>v.chanShift) & mask
+	if d&(uint64(1)<<t-1) != 0 {
+		return 0, false // no page's first line is on channel c
+	}
+	k, step := d>>t, uint64(1)<<(v.chanBits-t)-1 // channel c needs idx ≡ k (mod 2^(chanBits-t))
+	p := lo + (k-lo)&step
+	return p, p < hi
 }
 
 // walk is one in-flight (or completed but not yet observed) page-table
@@ -432,9 +535,14 @@ func (sp *Space) allocPage() uint64 {
 	case PolicyColor:
 		if v.nchan > 1 {
 			want := sp.nextColor
-			if p, found := v.buddy.FindPage(func(i uint64) bool { return v.pageChannel(i) == want }); found {
-				v.buddy.AllocPageAt(p)
-				idx, ok = p, true
+			first := func(lo, hi uint64) (uint64, bool) { return v.firstOnChannel(want, lo, hi) }
+			// A colour no pool page has needs no search; it falls back
+			// to first-fit like an exhausted one.
+			if _, reachable := first(0, v.cfg.PhysPages); reachable {
+				if p, found := v.buddy.FindPage(first); found {
+					v.buddy.AllocPageAt(p)
+					idx, ok = p, true
+				}
 			}
 			sp.nextColor = (want + 1) % v.nchan
 		}
@@ -451,7 +559,10 @@ func (sp *Space) allocPage() uint64 {
 		}
 		if v.buddy.AllocPageAt(next) {
 			idx, ok = next, true
-		} else if p, found := v.buddy.FindPage(func(i uint64) bool { return i > next }); found {
+		} else if p, found := v.buddy.FindPage(func(lo, hi uint64) (uint64, bool) {
+			p := max(lo, next+1)
+			return p, p < hi
+		}); found {
 			v.buddy.AllocPageAt(p)
 			idx, ok = p, true
 		}

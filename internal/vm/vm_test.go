@@ -16,6 +16,15 @@ func testConfig() Config {
 	return cfg
 }
 
+func mustNew(t testing.TB, cfg Config, n int, cm ChannelMapper) *VM {
+	t.Helper()
+	v, err := New(cfg, n, cm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
 func scalarLoad(va uint64) *isa.Inst {
 	return &isa.Inst{Kind: isa.KindScalarMem, Addr: va, Imm: 8}
 }
@@ -24,7 +33,7 @@ func scalarLoad(va uint64) *isa.Inst {
 // instruction stalls Levels*WalkLat cycles; once the walk fills the
 // TLBs the same page is an L1 hit and issues immediately.
 func TestReadyTimingAndIdempotence(t *testing.T) {
-	v := New(testConfig(), 1, nil)
+	v := mustNew(t, testConfig(), 1, nil)
 	sp := v.Space(0)
 	in := scalarLoad(0x4000)
 	walkDone := int64(100) + int64(v.cfg.Levels)*v.cfg.WalkLat
@@ -64,7 +73,7 @@ func TestReadyTimingAndIdempotence(t *testing.T) {
 
 // Two instructions missing the same page must share one walk.
 func TestWalkCoalescing(t *testing.T) {
-	v := New(testConfig(), 1, nil)
+	v := mustNew(t, testConfig(), 1, nil)
 	sp := v.Space(0)
 	d1 := sp.Ready(scalarLoad(0x9000), 1, 50)
 	d2 := sp.Ready(scalarLoad(0x9010), 2, 55)
@@ -80,7 +89,7 @@ func TestWalkCoalescing(t *testing.T) {
 func TestUnmappedAccessPanics(t *testing.T) {
 	cfg := testConfig()
 	cfg.Demand = false
-	v := New(cfg, 1, nil)
+	v := mustNew(t, cfg, 1, nil)
 	sp := v.Space(0)
 	sp.Alloc(0x1000, 0x1000)
 	if got := sp.Ready(scalarLoad(0x1800), 1, 0); got < 0 {
@@ -98,7 +107,7 @@ func TestUnmappedAccessPanics(t *testing.T) {
 // the next touch walks again instead of using a stale entry, and the
 // physical pages return to the allocator.
 func TestShootdownOnFree(t *testing.T) {
-	v := New(testConfig(), 1, nil)
+	v := mustNew(t, testConfig(), 1, nil)
 	sp := v.Space(0)
 	in := scalarLoad(0x4000)
 	done := sp.Ready(in, 1, 0)
@@ -130,7 +139,7 @@ func TestShootdownOnFree(t *testing.T) {
 // shared L2 TLB, paying only the L2 penalty.
 func TestL2TLBHitPath(t *testing.T) {
 	cfg := testConfig()
-	v := New(cfg, 1, nil)
+	v := mustNew(t, cfg, 1, nil)
 	sp := v.Space(0)
 	// Touch more pages than the 4-entry L1 holds; all land in the L2.
 	var done int64
@@ -161,6 +170,7 @@ type fakeChans struct{}
 
 func (fakeChans) ChannelOf(addr uint64) int { return int(addr>>13) & 3 }
 func (fakeChans) ChannelCount() int         { return 4 }
+func (fakeChans) ChannelShift() uint        { return 13 }
 
 // The placement policies must actually differ: coloring spreads a
 // space's pages evenly over channels, co-location keeps them
@@ -169,7 +179,7 @@ func TestPlacementPolicies(t *testing.T) {
 	alloc := func(p Policy) *Space {
 		cfg := testConfig()
 		cfg.Policy = p
-		v := New(cfg, 1, fakeChans{})
+		v := mustNew(t, cfg, 1, fakeChans{})
 		sp := v.Space(0)
 		sp.Alloc(0, 16<<cfg.PageBits) // 16 pages
 		return sp
@@ -199,7 +209,7 @@ func TestPlacementPolicies(t *testing.T) {
 // Two spaces are isolated: the same virtual page maps to different
 // frames, and the shared L2 TLB keeps the translations apart.
 func TestSpaceIsolation(t *testing.T) {
-	v := New(testConfig(), 2, nil)
+	v := mustNew(t, testConfig(), 2, nil)
 	a, b := v.Space(0), v.Space(1)
 	a.Alloc(0x4000, 8)
 	b.Alloc(0x4000, 8)
